@@ -1,9 +1,16 @@
-.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile
+.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile perfbench-check
 
 # Tier 1: the fast correctness gate.
 tier1:
 	go build ./...
 	go test ./...
+
+# The benchmark harness (perfbench/) is its own module that imports this
+# one, so `go build ./...` at the root never compiles it. Vet and test it so
+# a root API change that breaks the harness fails here, not in a benchmark
+# run.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # Static analysis: the project lint suite (iselint enforces the determinism,
 # zero-allocation and concurrency contracts; see DESIGN.md §9) plus gofmt

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -123,7 +124,7 @@ func runAblation(b *testing.B, mutate func(*core.Params)) {
 	mutate(&p)
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func BenchmarkSchedSteadyState(b *testing.B) {
 	}
 	d := dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
 	cfg := machine.New(4, 8, 4)
-	res, err := core.ExploreWithParams(d, cfg, core.FastParams())
+	res, _, err := core.ExploreResumable(context.Background(), d, cfg, core.FastParams(), core.ResumeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func BenchmarkMatchFind(b *testing.B) {
 func BenchmarkNetlistEval(b *testing.B) {
 	d := ablationDFG()
 	p := core.FastParams()
-	res, err := core.ExploreWithParams(d, machine.New(2, 4, 2), p)
+	res, _, err := core.ExploreResumable(context.Background(), d, machine.New(2, 4, 2), p, core.ResumeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func BenchmarkExploreMI(b *testing.B) {
 	p := core.DefaultParams()
 	p.NoEvalCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExploreWithParams(d, cfg, p); err != nil {
+		if _, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,7 +390,7 @@ func BenchmarkExploreMISeedBaseline(b *testing.B) {
 	p.Workers = 1
 	p.NoEvalCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExploreWithParams(d, cfg, p); err != nil {
+		if _, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,7 +405,7 @@ func BenchmarkExploreMIParallelCached(b *testing.B) {
 	p := core.DefaultParams()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func BenchmarkExploreSI(b *testing.B) {
 	cfg := machine.New(2, 4, 2)
 	p := core.DefaultParams()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Explore(d, cfg, p); err != nil {
+		if _, err := baseline.ExploreSharedCtx(context.Background(), d, cfg, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,7 +459,7 @@ func BenchmarkAblationTwoASFUs(b *testing.B) {
 	p := core.FastParams()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,6 +54,7 @@ func main() {
 	single := machine.SingleIssue()
 	wide := machine.New(2, 4, 2)
 	params := core.DefaultParams()
+	ctx := context.Background()
 
 	sw := func(cfg machine.Config) int {
 		s, err := sched.ListSchedule(d, sched.AllSoftware(d.Len()), cfg)
@@ -66,7 +68,7 @@ func main() {
 	fmt.Printf("2. 2-issue,      no ISE:             %2d cycles\n", sw(wide))
 
 	// Case 3: legality-only (single-issue) exploration, deployed on 2-issue.
-	si, err := baseline.Explore(d, wide, params)
+	si, err := baseline.ExploreSharedCtx(ctx, d, wide, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 		s3.Length, si.AreaUM2(), len(si.ISEs))
 
 	// Case 4: multiple-issue-aware exploration on the same machine.
-	mi, err := core.ExploreWithParams(d, wide, params)
+	mi, _, err := core.ExploreResumable(ctx, d, wide, params, core.ResumeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,6 +22,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	var suite []*bench.Benchmark
 	for _, name := range []string{"crc32", "sha", "blowfish"} {
 		bm, err := bench.Get(name, "O3")
@@ -29,7 +31,7 @@ func main() {
 		}
 		suite = append(suite, bm)
 	}
-	mp, err := flow.BuildMultiPool(suite, flow.Options{
+	mp, err := flow.BuildMultiPool(ctx, suite, flow.Options{
 		Machine:   machine.New(2, 4, 2),
 		Params:    core.FastParams(),
 		Algorithm: flow.MI,
@@ -42,7 +44,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "area budget\tISEs\tarea used\tsuite reduction\tcrc32\tsha\tblowfish")
 	for _, budget := range []float64{5000, 10000, 20000, 0} {
-		rep, err := mp.Evaluate(selection.Constraints{MaxAreaUM2: budget})
+		rep, err := mp.Evaluate(ctx, selection.Constraints{MaxAreaUM2: budget})
 		if err != nil {
 			log.Fatal(err)
 		}

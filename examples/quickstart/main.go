@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 
 	// Run the whole design flow with the proposed multiple-issue-aware
 	// exploration algorithm.
-	report, err := flow.Run(bm, flow.Options{
+	report, err := flow.Run(context.Background(), bm, flow.Options{
 		Machine:   cfg,
 		Params:    core.DefaultParams(),
 		Algorithm: flow.MI,

@@ -72,11 +72,11 @@ func TestBaselineSharedScratchDeterminism(t *testing.T) {
 	p := core.FastParams()
 	p.Restarts = 3
 
-	want1, err := ExploreCtx(t.Context(), d1, cfg, p)
+	want1, err := ExploreSharedCtx(t.Context(), d1, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := ExploreCtx(t.Context(), d2, cfg, p)
+	want2, err := ExploreSharedCtx(t.Context(), d2, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

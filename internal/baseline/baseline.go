@@ -72,30 +72,24 @@ func NewScratch() *Scratch {
 func (s *Scratch) acquire() *workerScratch   { return s.pool.Get().(*workerScratch) }
 func (s *Scratch) release(ws *workerScratch) { s.pool.Put(ws) }
 
-// Explore runs the legality-only single-issue exploration on d. The machine
-// configuration supplies only the register-port constraints Nin/Nout (the
-// single-issue model ignores issue width); the returned Result's Base and
-// Final cycle counts are nevertheless measured on cfg by the multiple-issue
-// scheduler so that results are directly comparable with core.Explore.
-func Explore(d *dfg.DFG, cfg machine.Config, p core.Params) (*core.Result, error) {
-	//lint:ignore ctxflow compat wrapper: Explore predates cancellation; ExploreCtx is the cancellable form
-	return ExploreCtx(context.Background(), d, cfg, p)
-}
-
-// ExploreCtx is Explore with cooperative cancellation: the context is
-// checked between restarts and between convergence iterations. The baseline
-// has no checkpoint format — a cancelled run returns ctx's error and a
-// later run simply starts over (it is deterministic, so a rerun reproduces
-// what the uninterrupted run would have returned).
-func ExploreCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params) (*core.Result, error) {
-	return ExploreSharedCtx(ctx, d, cfg, p, nil)
-}
-
-// ExploreSharedCtx is ExploreCtx drawing its per-worker kernels and explorer
-// arenas from scr, so a caller exploring many blocks (flow.BuildPool) pays
-// arena warmup once per worker instead of once per block. A nil scr uses a
-// private pool (per-exploration reuse only). Scratch is pure scratch:
-// results are byte-identical with or without it, at any worker count.
+// ExploreSharedCtx runs the legality-only single-issue exploration on d.
+// The machine configuration supplies only the register-port constraints
+// Nin/Nout (the single-issue model ignores issue width); the returned
+// Result's Base and Final cycle counts are nevertheless measured on cfg by
+// the multiple-issue scheduler so that results are directly comparable with
+// core.ExploreResumable.
+//
+// The context is checked between restarts and between convergence
+// iterations. The baseline has no checkpoint format — a cancelled run
+// returns ctx's error and a later run simply starts over (it is
+// deterministic, so a rerun reproduces what the uninterrupted run would have
+// returned).
+//
+// scr supplies the per-worker kernels and explorer arenas, so a caller
+// exploring many blocks (flow.BuildPool) pays arena warmup once per worker
+// instead of once per block. A nil scr uses a private pool
+// (per-exploration reuse only). Scratch is pure scratch: results are
+// byte-identical with or without it, at any worker count.
 func ExploreSharedCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params, scr *Scratch) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -130,7 +124,7 @@ func ExploreSharedCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p cor
 			scr.release(w)
 		}
 	}()
-	cancelErr := parallel.ForEachWorkerCtx(ctx, restarts, p.Workers, func(w, r int) {
+	cancelErr := parallel.ForEach(ctx, restarts, p.Workers, func(w, r int) {
 		results[r], serials[r], errs[r] = runOnce(ctx, d, cfg, p, p.Seed+int64(r)*104729, baseCycles, ws[w])
 	})
 	if cancelErr != nil {

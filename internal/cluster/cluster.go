@@ -25,7 +25,7 @@
 // run their shard in time slices, uploading a core.Snapshot with each
 // heartbeat; when a worker's lease lapses (or it reports an error), the
 // coordinator re-queues the shard with its last snapshot and the next worker
-// resumes it via core.ResumeFrom — RNG replay makes the retried shard
+// resumes it via core.ResumeOptions.From — RNG replay makes the retried shard
 // reproduce the lost one exactly (DESIGN.md §11, §15).
 //
 // The shared eval-cache tier is a coordinator-hosted map keyed on

@@ -265,7 +265,7 @@ func (j *dJob) tracer(fallback *obs.Tracer) *obs.Tracer {
 }
 
 // ExploreBlock runs one block exploration sharded across the fleet and
-// returns the same *core.Result a single-node core.ExploreWithParams call
+// returns the same *core.Result a single-node core.ExploreResumable call
 // with wl's parameters would: per-shard winners are folded in shard order
 // with core.BestResult, whose strict comparisons make contiguous-range
 // reduction identical to the global scan. Blocks until every shard reports,
@@ -601,9 +601,7 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	s.span.Arg("final_cycles", int64(req.Result.FinalCycles)).End()
 	s.span = obs.Span{}
 	j.remaining--
-	if j.remaining == 0 && j.failed == nil {
-		close(j.done)
-	}
+	last := j.remaining == 0 && j.failed == nil
 	if j.onShardDone != nil {
 		ev = ShardEvent{
 			Shard:        s.index,
@@ -635,6 +633,13 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	obsShardsDone.Inc()
 	if notify != nil {
 		notify(ev)
+	}
+	// Complete the job only after the last shard's sidecar is folded in and
+	// its event delivered, so the waiter never reduces and returns ahead of
+	// them. No other path closes done once every shard is in: expiry and
+	// worker errors touch only claimed shards.
+	if last {
+		close(j.done)
 	}
 	return nil
 }

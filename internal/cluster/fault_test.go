@@ -38,9 +38,10 @@ func (c *fakeClock) Advance(d time.Duration) {
 // TestMidShardKillResumesFromSnapshot is the fault-tolerance half of the
 // fleet contract: worker A is killed mid-shard right after its first
 // snapshot heartbeat; once its lease lapses, worker B claims the shard with
-// that snapshot in the envelope, resumes via core.ResumeFrom, and the final
-// answer is still byte-identical to an uninterrupted single-node run — at
-// intra-shard worker counts 1 and 4, under -race via make race.
+// that snapshot in the envelope, resumes from it (core.ResumeOptions.From),
+// and the final answer is still byte-identical to an uninterrupted
+// single-node run — at intra-shard worker counts 1 and 4, under -race via
+// make race.
 func TestMidShardKillResumesFromSnapshot(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -41,7 +41,7 @@ func (s ShardSpec) shardParams() core.Params {
 
 // ShardEnvelope is the claim response: the shard plus, on a re-dispatch, the
 // last snapshot the lost worker uploaded — the new worker resumes from it
-// via core.ResumeFrom instead of starting over.
+// via core.ResumeOptions.From instead of starting over.
 type ShardEnvelope struct {
 	Spec     ShardSpec      `json:"spec"`
 	Snapshot *core.Snapshot `json:"snapshot,omitempty"`

@@ -208,16 +208,8 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 	snap := env.Snapshot
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(shardCtx, w.opts.CheckpointEvery)
-		var (
-			res  *core.Result
-			next *core.Snapshot
-			rerr error
-		)
-		if snap == nil {
-			res, next, rerr = core.ExploreResumable(sliceCtx, d, cfg, p, ropts)
-		} else {
-			res, next, rerr = core.ResumeFrom(sliceCtx, d, cfg, snap, ropts)
-		}
+		ropts.From = snap
+		res, next, rerr := core.ExploreResumable(sliceCtx, d, cfg, p, ropts)
 		cancelSlice()
 
 		if rerr != nil && next != nil {

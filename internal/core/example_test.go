@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,9 +11,9 @@ import (
 	"repro/internal/prog"
 )
 
-// ExampleExplore discovers a custom instruction in a Galois-LFSR step: the
+// ExampleExploreResumable discovers a custom instruction in a Galois-LFSR step: the
 // classic mask/shift/xor chain collapses into a single-cycle ASFU operation.
-func ExampleExplore() {
+func ExampleExploreResumable() {
 	// Assemble the kernel.
 	b := prog.NewBuilder("lfsr")
 	b.I(isa.OpANDI, prog.T0, prog.S0, 1)        // bit  = lfsr & 1
@@ -26,7 +27,8 @@ func ExampleExplore() {
 	// Build its dataflow graph and explore on a 2-issue machine.
 	lv := prog.ComputeLiveness(p)
 	d := dfg.Build(p, 0, 1, lv.LiveOut[0])
-	res, err := core.Explore(d, machine.New(2, 4, 2))
+	res, _, err := core.ExploreResumable(context.Background(), d, machine.New(2, 4, 2),
+		core.DefaultParams(), core.ResumeOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

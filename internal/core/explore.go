@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/aco"
@@ -52,70 +51,15 @@ func (r *Result) Reduction() float64 {
 	return float64(r.BaseCycles-r.FinalCycles) / float64(r.BaseCycles)
 }
 
-func selectWeighted(r *rand.Rand, w []float64) int { return aco.SelectWeighted(r, w) }
-func normalize(w []float64, total float64)         { aco.Normalize(w, total) }
-
-// Explore runs the multiple-issue ISE exploration of Chapter 4 on one DFG
-// with default parameters.
-func Explore(d *dfg.DFG, cfg machine.Config) (*Result, error) {
-	return ExploreWithParams(d, cfg, DefaultParams())
-}
-
-// ExploreCtx is Explore with cooperative cancellation; see
-// ExploreWithCacheCtx.
-func ExploreCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config) (*Result, error) {
-	return ExploreWithParamsCtx(ctx, d, cfg, DefaultParams())
-}
-
-// ExploreWithParams runs the exploration with explicit parameters. The whole
-// procedure is repeated p.Restarts times and the best result (shortest final
-// schedule, then least area) is returned, matching §5.1. Restarts fan out
-// across a bounded worker pool of p.Workers goroutines; see ExploreWithCache
-// for the determinism contract.
-func ExploreWithParams(d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
-	return ExploreWithCache(d, cfg, p, nil)
-}
-
-// ExploreWithParamsCtx is ExploreWithParams with cooperative cancellation;
-// see ExploreWithCacheCtx.
-func ExploreWithParamsCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
-	return ExploreWithCacheCtx(ctx, d, cfg, p, nil)
-}
-
-// ExploreWithCache is ExploreWithParams with a caller-supplied
-// schedule-evaluation cache, letting later flow stages (candidate pricing in
-// internal/flow) reuse evaluations the exploration already paid for. A nil
-// cache allocates a private one unless p.NoEvalCache is set.
-//
-// Determinism: every restart r derives its own seed (p.Seed + r*7919), runs
-// independently, and writes into a per-restart slot; the reduction then
-// picks the best result by (FinalCycles, area, restart index) in a strict
-// left-to-right scan. Parallel and sequential runs therefore return
-// identical ISEs, assignments and cycle counts for any worker count, with
-// or without the cache — only the CacheHits/CacheMisses observability
-// counters may differ.
-func ExploreWithCache(d *dfg.DFG, cfg machine.Config, p Params, cache *EvalCache) (*Result, error) {
-	//lint:ignore ctxflow compat wrapper: ExploreWithCache predates cancellation; ExploreWithCacheCtx is the cancellable form
-	return ExploreWithCacheCtx(context.Background(), d, cfg, p, cache)
-}
-
-// ExploreWithCacheCtx is ExploreWithCache with cooperative cancellation:
-// the context is checked between restarts (no new restart starts once ctx
-// is done) and between convergence iterations inside each restart, so
-// cancellation latency is one ACO iteration, not one exploration. On
-// cancellation the context's error is returned; callers that want to resume
-// later use ExploreResumable/ResumeFrom instead, which additionally return
-// a checkpoint.
-func ExploreWithCacheCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, cache *EvalCache) (*Result, error) {
-	res, _, err := exploreResumable(ctx, d, cfg, p, nil, ResumeOptions{Cache: cache})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ResumeOptions parameterize ExploreResumable and ResumeFrom.
+// ResumeOptions parameterize ExploreResumable.
 type ResumeOptions struct {
+	// From, when non-nil, continues the exploration from a snapshot
+	// captured by an earlier interrupted ExploreResumable call (itself
+	// possibly a resumed run — any chain of interruptions converges to the
+	// same Result). The snapshot must belong to (d, cfg); its embedded
+	// Params drive the run and the p argument is ignored. Nil starts a
+	// fresh run.
+	From *Snapshot
 	// Cache is the shared schedule-evaluation cache; nil allocates a
 	// private one unless Params.NoEvalCache is set.
 	Cache *EvalCache
@@ -148,8 +92,8 @@ type ResumeOptions struct {
 	// set or nil, and a nil recorder costs nothing on the hot path
 	// (TestExploreSteadyStateAllocs covers the instrumented loop). An
 	// interrupted run carries the journal in the snapshot's observational
-	// sidecar (Snapshot.Flight) and ResumeFrom restores it, so the round
-	// series survives checkpoint/resume.
+	// sidecar (Snapshot.Flight) and the run resumed From it restores it, so
+	// the round series survives checkpoint/resume.
 	Flight *obs.Flight
 }
 
@@ -174,32 +118,39 @@ type RestartEvent struct {
 	CacheHits, CacheMisses uint64
 }
 
-// ExploreResumable is ExploreWithCacheCtx for callers that checkpoint: when
-// ctx cancels the run, it returns a Snapshot (alongside ctx's error) from
-// which ResumeFrom finishes the exploration with the byte-identical Result
-// an uninterrupted run would have produced — same ISEs, assignment and
-// cycle counts; only the cache counters may differ (see DESIGN.md §11). On
-// normal completion the snapshot is nil.
+// ExploreResumable runs the multiple-issue ISE exploration of Chapter 4 on
+// one DFG. The whole procedure is repeated p.Restarts times and the best
+// result (shortest final schedule, then least area) is returned, matching
+// §5.1. Restarts fan out across a bounded worker pool of p.Workers
+// goroutines. opts.Cache lets later flow stages (candidate pricing in
+// internal/flow) reuse evaluations the exploration already paid for.
+//
+// Determinism: every restart r derives its own seed (p.Seed + r*7919), runs
+// independently, and writes into a per-restart slot; the reduction then
+// picks the best result by (FinalCycles, area, restart index) in a strict
+// left-to-right scan. Parallel and sequential runs therefore return
+// identical ISEs, assignments and cycle counts for any worker count, with
+// or without the cache — only the CacheHits/CacheMisses observability
+// counters may differ.
+//
+// Cancellation: the context is checked between restarts (no new restart
+// starts once ctx is done) and between convergence iterations inside each
+// restart, so cancellation latency is one ACO iteration, not one
+// exploration. A cancelled run returns a Snapshot alongside ctx's error;
+// passing it back as opts.From finishes the exploration with the
+// byte-identical Result an uninterrupted run would have produced — same
+// ISEs, assignment and cycle counts; only the cache counters may differ
+// (see DESIGN.md §11). When opts.From is set it is first validated against
+// (d, cfg), and its embedded Params replace p. On normal completion the
+// snapshot is nil.
 func ExploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, opts ResumeOptions) (*Result, *Snapshot, error) {
-	return exploreResumable(ctx, d, cfg, p, nil, opts)
-}
-
-// ResumeFrom continues an exploration from a snapshot captured by
-// ExploreResumable (or an earlier ResumeFrom — interrupting a resumed run
-// yields another snapshot; any chain of interruptions converges to the same
-// Result). The snapshot must belong to (d, cfg); its embedded Params drive
-// the run.
-func ResumeFrom(ctx context.Context, d *dfg.DFG, cfg machine.Config, snap *Snapshot, opts ResumeOptions) (*Result, *Snapshot, error) {
-	if snap == nil {
-		return nil, nil, fmt.Errorf("core: ResumeFrom with nil snapshot")
+	snap := opts.From
+	if snap != nil {
+		if err := snap.validate(d, cfg); err != nil {
+			return nil, nil, err
+		}
+		p = snap.Params
 	}
-	if err := snap.validate(d, cfg); err != nil {
-		return nil, nil, err
-	}
-	return exploreResumable(ctx, d, cfg, snap.Params, snap, opts)
-}
-
-func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, snap *Snapshot, opts ResumeOptions) (*Result, *Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -277,7 +228,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 			scratch.Release(w)
 		}
 	}()
-	cancelErr := parallel.ForEachWorkerCtx(ctx, len(todo), p.Workers, func(w, ti int) {
+	cancelErr := parallel.ForEach(ctx, len(todo), p.Workers, func(w, ti int) {
 		r := todo[ti]
 		res, part, err := runOnce(ctx, d, cfg, p, p.Seed+int64(r)*7919, baseCycles, cache, ws[w].kern, ws[w].exp, partials[r], opts.Trace, opts.Flight, r)
 		switch {
@@ -359,7 +310,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 // folding the per-range winners in range order selects the same element as
 // one global scan. That is the property the distributed coordinator
 // (internal/cluster) relies on — each shard owns a contiguous restart range,
-// reduces it with this same function (via exploreResumable on the worker),
+// reduces it with this same function (via ExploreResumable on the worker),
 // and the coordinator folds the shard winners in shard order, so node count
 // never changes the answer.
 func BestResult(results []*Result) *Result {

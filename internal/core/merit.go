@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/aco"
 	"repro/internal/graph"
 	"repro/internal/sched"
 )
@@ -210,7 +211,7 @@ func (e *explorer) meritUpdate(res *walkResult) {
 		}
 		// Normalization keeps operation-vs-operation selection fair and the
 		// multiplicative dynamics bounded (§4.3 after step 8).
-		normalize(e.merit[x], 100*float64(len(e.merit[x])))
+		aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
 	}
 }
 

@@ -213,7 +213,7 @@ func TestTryPackRespectsPipestage(t *testing.T) {
 	cfg := machine.New(2, 4, 2)
 	p := FastParams()
 	p.MaxISECycles = 1
-	r, err := ExploreWithParams(d, cfg, p)
+	r, _, err := ExploreResumable(t.Context(), d, cfg, p, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,24 +10,24 @@ import (
 )
 
 // SnapshotVersion is the checkpoint format version. Bump it whenever the
-// snapshot layout or the meaning of any field changes; ResumeFrom rejects
+// snapshot layout or the meaning of any field changes; resuming rejects
 // mismatched versions instead of silently mis-restoring state.
 const SnapshotVersion = 1
 
 // Snapshot is a resumable checkpoint of one interrupted exploration. It is
 // captured when a context cancels ExploreResumable between convergence
 // iterations or between restarts, and it carries everything a later
-// ResumeFrom needs to finish the run with the byte-identical Result an
-// uninterrupted run would have produced: the per-restart seeds, the full
-// Result of every finished restart, and the mid-restart ACO state (accepted
-// ISEs, trail and merit tables, RNG draw count) of every restart caught in
-// flight. All fields are plain values so the snapshot round-trips through
+// ExploreResumable call (as ResumeOptions.From) needs to finish the run
+// with the byte-identical Result an uninterrupted run would have produced:
+// the per-restart seeds, the full Result of every finished restart, and the
+// mid-restart ACO state (accepted ISEs, trail and merit tables, RNG draw
+// count) of every restart caught in flight. All fields are plain values so the snapshot round-trips through
 // JSON losslessly (encoding/json emits float64 with enough digits to
 // round-trip exactly).
 type Snapshot struct {
 	Version int `json:"version"`
 	// DFG and Nodes identify the explored graph; Machine the configuration.
-	// ResumeFrom validates all three — a snapshot replayed against a
+	// Resuming validates all three — a snapshot replayed against a
 	// different input would silently produce garbage.
 	DFG     string `json:"dfg"`
 	Nodes   int    `json:"nodes"`
@@ -42,7 +42,7 @@ type Snapshot struct {
 	Restarts []RestartState `json:"restarts"`
 	// Flight is the convergence flight recorder's journal at capture time —
 	// an observational sidecar, not part of the determinism contract. It is
-	// absent when the interrupted run recorded nothing, and ResumeFrom
+	// absent when the interrupted run recorded nothing, and resuming
 	// restores it into ResumeOptions.Flight so the journal survives
 	// checkpoint/resume. Resume never reads it for decisions (obspurity).
 	Flight []obs.FlightSample `json:"flight,omitempty"`

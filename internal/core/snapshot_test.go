@@ -57,12 +57,10 @@ func runInterrupted(t *testing.T, d *dfg.DFG, cfg machine.Config, p Params) (*Re
 			res *Result
 			err error
 		)
-		if snap == nil {
-			res, snap, err = ExploreResumable(ctx, d, cfg, p, ResumeOptions{})
-		} else {
+		if snap != nil {
 			resumes++
-			res, snap, err = ResumeFrom(ctx, d, cfg, snap, ResumeOptions{})
 		}
+		res, snap, err = ExploreResumable(ctx, d, cfg, p, ResumeOptions{From: snap})
 		cancel()
 		if res != nil {
 			return res, resumes, midRound
@@ -102,7 +100,7 @@ func TestResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := DefaultParams()
 		p.Workers = workers
-		want, err := ExploreWithParamsCtx(context.Background(), d, cfg, p)
+		want, _, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +122,7 @@ func TestResumeAtRestartBoundary(t *testing.T) {
 	p := FastParams()
 	p.Restarts = 4
 	p.Workers = 2
-	want, err := ExploreWithParamsCtx(context.Background(), d, cfg, p)
+	want, _, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestResumeAtRestartBoundary(t *testing.T) {
 	if snap.CompletedRestarts() == 0 {
 		t.Fatal("cancelled after a restart finished, but snapshot has none done")
 	}
-	got, snap2, err := ResumeFrom(context.Background(), d, cfg, snap, ResumeOptions{})
+	got, snap2, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{From: snap})
 	if err != nil || snap2 != nil {
 		t.Fatalf("resume: err=%v snap=%v", err, snap2)
 	}
@@ -200,18 +198,15 @@ func TestResumeFromValidation(t *testing.T) {
 		t.Fatalf("expected interrupted run, got err=%v snap=%v", err, snap)
 	}
 
-	if _, _, err := ResumeFrom(context.Background(), other, cfg, snap, ResumeOptions{}); err == nil {
+	if _, _, err := ExploreResumable(context.Background(), other, cfg, p, ResumeOptions{From: snap}); err == nil {
 		t.Fatal("resume against a different DFG succeeded")
 	}
-	if _, _, err := ResumeFrom(context.Background(), d, machine.New(4, 8, 4), snap, ResumeOptions{}); err == nil {
+	if _, _, err := ExploreResumable(context.Background(), d, machine.New(4, 8, 4), p, ResumeOptions{From: snap}); err == nil {
 		t.Fatal("resume against a different machine succeeded")
 	}
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
-	if _, _, err := ResumeFrom(context.Background(), d, cfg, &bad, ResumeOptions{}); err == nil {
+	if _, _, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{From: &bad}); err == nil {
 		t.Fatal("resume with a wrong version succeeded")
-	}
-	if _, _, err := ResumeFrom(context.Background(), d, cfg, nil, ResumeOptions{}); err == nil {
-		t.Fatal("resume with a nil snapshot succeeded")
 	}
 }

@@ -476,7 +476,7 @@ func (e *explorer) walk() *walkResult {
 				}
 			}
 		} else {
-			pickIdx = selectWeighted(e.rng, weights)
+			pickIdx = aco.SelectWeighted(e.rng, weights)
 		}
 		u, pickOpt := entU[pickIdx], entO[pickIdx]
 		um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]

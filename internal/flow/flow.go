@@ -243,7 +243,7 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 			putKern(k)
 		}
 	}()
-	cancelErr := parallel.ForEachWorkerCtx(ctx, len(pool.Hot), opts.Params.Workers, func(w, hi int) {
+	cancelErr := parallel.ForEach(ctx, len(pool.Hot), opts.Params.Workers, func(w, hi int) {
 		d := pool.DFGs[pool.Hot[hi]]
 		var ises []*core.ISE
 		var err error
@@ -364,15 +364,9 @@ func (p *Pool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*Repor
 }
 
 // Run executes the whole flow for one benchmark under unlimited selection
-// constraints.
-func Run(bm *bench.Benchmark, opts Options) (*Report, error) {
-	//lint:ignore ctxflow compat wrapper: Run predates cancellation; RunCtx is the cancellable form
-	return RunCtx(context.Background(), bm, opts)
-}
-
-// RunCtx is Run with cooperative cancellation (see BuildPoolCtx), threaded
-// through both the pool build and the final evaluation.
-func RunCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Report, error) {
+// constraints. Cancellation is threaded through both the pool build and the
+// final evaluation (see BuildPoolCtx).
+func Run(ctx context.Context, bm *bench.Benchmark, opts Options) (*Report, error) {
 	pool, err := BuildPoolCtx(ctx, bm, opts)
 	if err != nil {
 		return nil, err

@@ -124,7 +124,7 @@ func TestRunWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(bm, Options{Machine: machine.New(3, 6, 3), Params: core.FastParams(), Algorithm: MI})
+	rep, err := Run(t.Context(), bm, Options{Machine: machine.New(3, 6, 3), Params: core.FastParams(), Algorithm: MI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMultiPoolCoDesign(t *testing.T) {
 		}
 		benches = append(benches, bm)
 	}
-	mp, err := BuildMultiPool(benches, Options{
+	mp, err := BuildMultiPool(t.Context(), benches, Options{
 		Machine:   machine.New(2, 4, 2),
 		Params:    core.FastParams(),
 		Algorithm: MI,
@@ -156,7 +156,7 @@ func TestMultiPoolCoDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mp.Evaluate(selection.Constraints{})
+	rep, err := mp.Evaluate(t.Context(), selection.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMultiPoolCoDesign(t *testing.T) {
 		t.Fatalf("totals inconsistent: %v/%v vs %v/%v", base, final, rep.BaseCycles, rep.FinalCycles)
 	}
 	// Constrained co-design respects the budget.
-	tight, err := mp.Evaluate(selection.Constraints{MaxAreaUM2: 4000, MaxISEs: 1})
+	tight, err := mp.Evaluate(t.Context(), selection.Constraints{MaxAreaUM2: 4000, MaxISEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMultiPoolCoDesign(t *testing.T) {
 }
 
 func TestBuildMultiPoolEmpty(t *testing.T) {
-	if _, err := BuildMultiPool(nil, Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: MI}); err == nil {
+	if _, err := BuildMultiPool(t.Context(), nil, Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: MI}); err == nil {
 		t.Fatal("empty suite accepted")
 	}
 }
@@ -336,10 +336,10 @@ func TestPoolParallelSweepRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCanceledContextPropagates pins the ctxflow fixes: every Ctx entry
-// point must observe an already-canceled context and fail with its error
-// instead of running the uncancellable legacy path (RunCtx used to build the
-// pool cancellably and then evaluate it with no context at all).
+// TestCanceledContextPropagates pins the ctxflow fixes: every ctx-taking
+// entry point must observe an already-canceled context and fail with its
+// error instead of running an uncancellable path (Run once built the pool
+// cancellably and then evaluated it with no context at all).
 func TestCanceledContextPropagates(t *testing.T) {
 	bm, err := bench.Get("crc32", "O0")
 	if err != nil {
@@ -354,26 +354,26 @@ func TestCanceledContextPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := RunCtx(ctx, bm, opts); err == nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("RunCtx on canceled ctx = %v, want context.Canceled", err)
+	if _, err := Run(ctx, bm, opts); err == nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("Run on canceled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := BuildMultiPoolCtx(ctx, []*bench.Benchmark{bm}, opts); err == nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("BuildMultiPoolCtx on canceled ctx = %v, want context.Canceled", err)
+	if _, err := BuildMultiPool(ctx, []*bench.Benchmark{bm}, opts); err == nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("BuildMultiPool on canceled ctx = %v, want context.Canceled", err)
 	}
 
 	pool := testPool(t, "crc32", "O0", MI)
 	if _, err := pool.EvaluateCtx(ctx, selection.Constraints{}); err == nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("Pool.EvaluateCtx on canceled ctx = %v, want context.Canceled", err)
 	}
-	mp, err := BuildMultiPool([]*bench.Benchmark{bm}, opts)
+	mp, err := BuildMultiPool(t.Context(), []*bench.Benchmark{bm}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mp.EvaluateCtx(ctx, selection.Constraints{}); err == nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("MultiPool.EvaluateCtx on canceled ctx = %v, want context.Canceled", err)
+	if _, err := mp.Evaluate(ctx, selection.Constraints{}); err == nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("MultiPool.Evaluate on canceled ctx = %v, want context.Canceled", err)
 	}
 
-	// The ctx-less wrappers must keep working: same pool, nil error.
+	// The ctx-less Pool.Evaluate must keep working: same pool, nil error.
 	if _, err := pool.Evaluate(selection.Constraints{}); err != nil {
 		t.Errorf("Evaluate after ctx fixes: %v", err)
 	}

@@ -49,15 +49,10 @@ func (r *MultiReport) Reduction() float64 {
 // deployment saves there (its own block's marginal plus cross-application
 // matches), so an ISE useful to several programs outranks an equally fast
 // single-program one.
-func BuildMultiPool(benches []*bench.Benchmark, opts Options) (*MultiPool, error) {
-	//lint:ignore ctxflow compat wrapper: BuildMultiPool predates cancellation; BuildMultiPoolCtx is the cancellable form
-	return BuildMultiPoolCtx(context.Background(), benches, opts)
-}
-
-// BuildMultiPoolCtx is BuildMultiPool with cooperative cancellation,
-// checked between benchmarks and threaded into each pool build (see
-// BuildPoolCtx).
-func BuildMultiPoolCtx(ctx context.Context, benches []*bench.Benchmark, opts Options) (*MultiPool, error) {
+//
+// Cancellation is checked between benchmarks, threaded into each pool build
+// (see BuildPoolCtx), and checked per candidate during re-pricing.
+func BuildMultiPool(ctx context.Context, benches []*bench.Benchmark, opts Options) (*MultiPool, error) {
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("flow: no benchmarks for multi-pool")
 	}
@@ -107,15 +102,9 @@ func BuildMultiPoolCtx(ctx context.Context, benches []*bench.Benchmark, opts Opt
 }
 
 // Evaluate selects one ISE set under the constraints and deploys it into
-// every application of the suite.
-func (mp *MultiPool) Evaluate(c selection.Constraints) (*MultiReport, error) {
-	//lint:ignore ctxflow compat wrapper: Evaluate predates cancellation; EvaluateCtx is the cancellable form
-	return mp.EvaluateCtx(context.Background(), c)
-}
-
-// EvaluateCtx is Evaluate with cooperative cancellation, checked per
-// application before its blocks are re-scheduled.
-func (mp *MultiPool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*MultiReport, error) {
+// every application of the suite. Cancellation is checked per application
+// before its blocks are re-scheduled.
+func (mp *MultiPool) Evaluate(ctx context.Context, c selection.Constraints) (*MultiReport, error) {
 	dec := selection.Select(mp.Groups, c)
 	rep := &MultiReport{
 		Machine:   mp.Pools[0].Machine.Name,

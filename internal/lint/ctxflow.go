@@ -6,8 +6,8 @@ import (
 )
 
 // CtxFlow checks the project's cancellation discipline — the contract behind
-// iseserve's checkpoint/cancel semantics and the Ctx variants threaded
-// through flow/core/parallel. Three rules:
+// iseserve's checkpoint/cancel semantics and the ctx-first entry points
+// threaded through flow/core/parallel. Three rules:
 //
 //  1. A function that receives a context must forward it: passing
 //     context.Background()/TODO() to a callee, or calling F when a

@@ -1,6 +1,6 @@
 // Package ctxflow reconstructs the cancellation-chain bugs the pass exists
-// to catch. Run is the RunCtx regression shape: the caller received a
-// context, built its state cancellably, then dropped ctx on the floor by
+// to catch. Run is the shape of a past flow regression: the caller received
+// a context, built its state cancellably, then dropped ctx on the floor by
 // calling the ctx-less Evaluate even though EvaluateCtx exists. Serve holds
 // the goroutine-loop rule; this package doubles as its own service root in
 // the test config.

@@ -11,7 +11,7 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 200
 		counts := make([]int32, n)
-		err := ForEachCtx(context.Background(), n, workers, func(i int) {
+		err := ForEach(context.Background(), n, workers, func(_, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -29,7 +29,7 @@ func TestForEachCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := ForEachCtx(ctx, 100, workers, func(int) {
+		err := ForEach(ctx, 100, workers, func(int, int) {
 			t.Errorf("workers=%d: fn ran under a canceled context", workers)
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -48,7 +48,7 @@ func TestForEachWorkerCtxStopsMidway(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		counts := make([]int32, n)
 		var done atomic.Int32
-		err := ForEachWorkerCtx(ctx, n, workers, func(w, i int) {
+		err := ForEach(ctx, n, workers, func(w, i int) {
 			if w < 0 || w >= Degree(workers, n) {
 				t.Errorf("worker id %d out of range", w)
 			}
@@ -80,7 +80,7 @@ func TestForEachWorkerCtxPanicPropagates(t *testing.T) {
 			t.Fatal("panic did not propagate")
 		}
 	}()
-	_ = ForEachWorkerCtx(context.Background(), 8, 4, func(w, i int) {
+	_ = ForEach(context.Background(), 8, 4, func(w, i int) {
 		if i == 3 {
 			panic("boom")
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/dfg"
 	"repro/internal/graph"
@@ -49,42 +48,9 @@ func AllSoftware(n int) Assignment {
 	return a
 }
 
-// Key returns a canonical signature of the assignment, suitable as a
-// memoization key for schedule evaluation: ListSchedule is a pure function
-// of (DFG, Assignment, machine.Config), so two assignments with equal Keys
-// schedule to the same length on the same DFG and machine. The encoding is
-// positional (one field per node, so node membership of every ISE group is
-// captured) and canonicalizes group IDs by first appearance, making the key
-// invariant under group renumbering. Hardware option indices are included
-// because they select the cell latencies that determine the group's
-// pipestage latency.
-func (a Assignment) Key() string {
-	buf := make([]byte, 0, 4*len(a))
-	var gidBuf [remapInline]int
-	gids := gidBuf[:0]
-	for _, c := range a {
-		switch c.Kind {
-		case KindSW:
-			buf = append(buf, 's')
-			buf = strconv.AppendInt(buf, int64(c.Opt), 10)
-		case KindHW:
-			var g int
-			gids, g = canonGroup(gids, c.Group)
-			buf = append(buf, 'h')
-			buf = strconv.AppendInt(buf, int64(c.Opt), 10)
-			buf = append(buf, 'g')
-			buf = strconv.AppendInt(buf, int64(g), 10)
-		default:
-			buf = append(buf, '?')
-		}
-		buf = append(buf, '.')
-	}
-	return string(buf)
-}
-
-// remapInline is the group-remap capacity kept on the stack by Key and
-// KeyHash; assignments with more distinct ISE groups (which never happens in
-// practice — groups hold ≥ 2 of the block's nodes) spill to the heap.
+// remapInline is the group-remap capacity kept on the stack by KeyHash;
+// assignments with more distinct ISE groups (which never happens in practice
+// — groups hold ≥ 2 of the block's nodes) spill to the heap.
 const remapInline = 64
 
 // canonGroup maps raw group ID id to its canonical index: the position of its
@@ -101,7 +67,8 @@ func canonGroup(gids []int, id int) ([]int, int) {
 }
 
 // KeyHash is a 128-bit canonical signature of an Assignment, the hash-keyed
-// counterpart of Key: equal assignments (up to group renumbering) produce
+// counterpart of the string Key the tests keep as its oracle: equal
+// assignments (up to group renumbering) produce
 // equal hashes, and the memo caches key on it instead of the string form.
 // See DESIGN.md §10 for the collision argument (two independent 64-bit
 // multiply-mix chains over the positional token stream; distinct canonical

@@ -2,8 +2,43 @@ package sched
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
+
+// Key returns a canonical string signature of the assignment — the
+// readable oracle KeyHash is tested against. It is suitable as a
+// memoization key for schedule evaluation: ListSchedule is a pure function
+// of (DFG, Assignment, machine.Config), so two assignments with equal Keys
+// schedule to the same length on the same DFG and machine. The encoding is
+// positional (one field per node, so node membership of every ISE group is
+// captured) and canonicalizes group IDs by first appearance, making the key
+// invariant under group renumbering. Hardware option indices are included
+// because they select the cell latencies that determine the group's
+// pipestage latency.
+func (a Assignment) Key() string {
+	buf := make([]byte, 0, 4*len(a))
+	var gidBuf [remapInline]int
+	gids := gidBuf[:0]
+	for _, c := range a {
+		switch c.Kind {
+		case KindSW:
+			buf = append(buf, 's')
+			buf = strconv.AppendInt(buf, int64(c.Opt), 10)
+		case KindHW:
+			var g int
+			gids, g = canonGroup(gids, c.Group)
+			buf = append(buf, 'h')
+			buf = strconv.AppendInt(buf, int64(c.Opt), 10)
+			buf = append(buf, 'g')
+			buf = strconv.AppendInt(buf, int64(g), 10)
+		default:
+			buf = append(buf, '?')
+		}
+		buf = append(buf, '.')
+	}
+	return string(buf)
+}
 
 func TestAssignmentKeyCanonicalGroups(t *testing.T) {
 	// Two assignments that differ only in group numbering must share a key.

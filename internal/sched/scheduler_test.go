@@ -15,7 +15,7 @@ import (
 // error message, or byte-identical schedules and critical sets.
 func assertSameAsReference(t *testing.T, kern *Scheduler, d *dfg.DFG, a Assignment, cfg machine.Config, tag string) {
 	t.Helper()
-	want, wantErr := ListScheduleReference(d, a, cfg)
+	want, wantErr := listScheduleReference(d, a, cfg)
 	got, gotErr := kern.Schedule(d, a, cfg)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: error mismatch: reference=%v kernel=%v", tag, wantErr, gotErr)
@@ -188,7 +188,7 @@ func TestScheduleCloneDetaches(t *testing.T) {
 	if _, err := kern.Schedule(d2, AllSoftware(d2.Len()), cfg); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ListScheduleReference(d, AllSoftware(d.Len()), cfg)
+	want, err := listScheduleReference(d, AllSoftware(d.Len()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

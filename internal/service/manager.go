@@ -411,24 +411,6 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// Metrics returns the /metrics payload: counters, latency quantiles, queue
-// depth and per-state job counts.
-func (m *Manager) Metrics() map[string]any {
-	out := m.met.snapshot()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out["queue_depth"] = len(m.queue)
-	out["jobs_running"] = m.running
-	states := map[State]int{}
-	for _, j := range m.jobs {
-		states[j.state]++
-	}
-	for s, n := range states {
-		out["jobs_state_"+string(s)] = n
-	}
-	return out
-}
-
 // Drain begins graceful shutdown: new submissions are rejected, running
 // jobs are canceled with the drain cause (the runner checkpoints them and
 // returns them to the queue), and queued jobs stay checkpointed on disk for
@@ -595,6 +577,7 @@ func (m *Manager) run(j *job) {
 		cache := core.NewEvalCache()
 		blockSpan := tr.Begin("block", 0).Arg("block", int64(bi))
 		opts := core.ResumeOptions{
+			From:    snap,
 			Cache:   cache,
 			Trace:   tr,
 			Flight:  j.flight,
@@ -620,17 +603,10 @@ func (m *Manager) run(j *job) {
 				j.events.publish(e)
 			},
 		}
-		var (
-			res   *core.Result
-			nsnap *core.Snapshot
-			rerr  error
-		)
-		if snap != nil {
-			res, nsnap, rerr = core.ResumeFrom(ctx, d, cfg, snap, opts)
-			snap = nil
-		} else {
-			res, nsnap, rerr = core.ExploreResumable(ctx, d, cfg, p, opts)
-		}
+		// Only the interrupted block resumes from the checkpoint; the
+		// blocks after it start fresh.
+		snap = nil
+		res, nsnap, rerr := core.ExploreResumable(ctx, d, cfg, p, opts)
 		blockSpan.End()
 		if rerr != nil {
 			m.interrupted(j, ctx, blocks, bi, nsnap, rerr)

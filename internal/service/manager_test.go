@@ -7,7 +7,22 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
+
+// metricSeries returns the first series of family name in a registry dump
+// (the body of GET /metrics?format=dump), failing the test if the family
+// is absent.
+func metricSeries(t *testing.T, d obs.RegistryDump, name string) obs.SeriesDump {
+	t.Helper()
+	for _, f := range d.Families {
+		if f.Name == name && len(f.Series) > 0 {
+			return f.Series[0]
+		}
+	}
+	t.Fatalf("metrics dump missing %s", name)
+	return obs.SeriesDump{}
+}
 
 // testSpec is a small, fast job: the crc32 inner loop with reduced-effort
 // parameters.
@@ -154,9 +169,8 @@ func TestQueueOverflowRejects(t *testing.T) {
 	if full != 3 {
 		t.Fatalf("%d rejections, want 3", full)
 	}
-	met := m.Metrics()
-	if met["jobs_rejected_total"].(uint64) != 3 {
-		t.Fatalf("jobs_rejected_total = %v, want 3", met["jobs_rejected_total"])
+	if v := metricSeries(t, m.MetricsDump(), "jobs_rejected_total").Value; v != 3 {
+		t.Fatalf("jobs_rejected_total = %v, want 3", v)
 	}
 	if _, err := m.Cancel(pinned.ID); err != nil {
 		t.Fatal(err)
@@ -225,9 +239,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if final.Error == "" {
 		t.Fatal("canceled job has no error message")
 	}
-	met := m.Metrics()
-	if met["jobs_canceled_total"].(uint64) != 1 {
-		t.Fatalf("jobs_canceled_total = %v, want 1", met["jobs_canceled_total"])
+	if v := metricSeries(t, m.MetricsDump(), "jobs_canceled_total").Value; v != 1 {
+		t.Fatalf("jobs_canceled_total = %v, want 1", v)
 	}
 }
 
@@ -255,18 +268,20 @@ func TestMetricsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, st.ID, StateDone)
-	met := m.Metrics()
+	met := m.MetricsDump()
 	for _, key := range []string{
-		"jobs_submitted_total", "jobs_done_total", "queue_depth",
+		"jobs_submitted_total", "queue_depth",
 		"eval_cache_hits_total", "eval_cache_misses_total",
-		"job_latency_seconds_p50", "job_latency_seconds_p99",
 	} {
-		if _, ok := met[key]; !ok {
-			t.Errorf("metrics missing %s", key)
-		}
+		metricSeries(t, met, key)
 	}
-	if met["jobs_done_total"].(uint64) != 1 {
-		t.Fatalf("jobs_done_total = %v", met["jobs_done_total"])
+	if v := metricSeries(t, met, "jobs_done_total").Value; v != 1 {
+		t.Fatalf("jobs_done_total = %v", v)
+	}
+	// The latency histogram holds the finished job, so its p50/p99 are
+	// defined.
+	if h := metricSeries(t, met, "job_latency_seconds").Hist; h == nil || h.Count != 1 {
+		t.Fatalf("job_latency_seconds = %+v, want one observation", h)
 	}
 }
 
