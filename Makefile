@@ -1,4 +1,4 @@
-.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile perfbench-check
+.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile perfbench-check fuzz-match
 
 # Tier 1: the fast correctness gate.
 tier1:
@@ -11,6 +11,12 @@ tier1:
 # run.
 perfbench-check:
 	cd perfbench && go vet ./... && go test ./...
+
+# Fuzz smoke for the subgraph matcher: 20 s of FuzzFind, which checks the
+# bit-row matcher against its map-based reference (same mappings, same
+# budget cut) on random blocks.
+fuzz-match:
+	go test -run='^$$' -fuzz=FuzzFind -fuzztime=20s ./internal/match
 
 # Static analysis: the project lint suite (iselint enforces the determinism,
 # zero-allocation and concurrency contracts; see DESIGN.md §9) plus gofmt

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	isebench -all              # everything (full matrix, several minutes)
+//	isebench -all              # everything (full matrix, ~15 s on 2 CPUs)
 //	isebench -figure 16 -fast  # one figure with reduced exploration effort
 //	isebench -headline
 //	isebench -table

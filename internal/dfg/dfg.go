@@ -71,7 +71,26 @@ type DFG struct {
 	// computation runs at most once and publishes fp safely.
 	fpOnce sync.Once
 	fp     [2]uint64
+
+	// rows is the lazily built bit-matrix form of Data; rowsOnce ensures it
+	// is built at most once and published safely.
+	rowsOnce sync.Once
+	rows     BitRows
 }
+
+// BitRows is a node relation stored as one bitmap row of Words uint64s per
+// node: bit v of Succ's row u is set iff u→v, and Pred is the transpose (bit
+// u of Pred's row v is set iff u→v).
+type BitRows struct {
+	Words      int
+	Succ, Pred []uint64
+}
+
+// SuccRow returns u's successor bitmap.
+func (r *BitRows) SuccRow(u int) []uint64 { return r.Succ[u*r.Words : (u+1)*r.Words] }
+
+// PredRow returns v's predecessor bitmap.
+func (r *BitRows) PredRow(v int) []uint64 { return r.Pred[v*r.Words : (v+1)*r.Words] }
 
 // Build constructs the DFG of block blockIdx of p, weighted by weight.
 // liveOut is that block's live-out register set from global liveness.
@@ -216,6 +235,25 @@ func (d *DFG) Fingerprint() [2]uint64 {
 		d.fp = [2]uint64{h1, h2}
 	})
 	return d.fp
+}
+
+// DataRows returns the Data edge relation as bit rows, so a subgraph matcher
+// can test one node's adjacency against a whole set of nodes a word at a
+// time. Built on first use (never by Build), then cached; safe for
+// concurrent use.
+func (d *DFG) DataRows() *BitRows {
+	d.rowsOnce.Do(func() {
+		n := d.Len()
+		w := (n + 63) / 64
+		d.rows = BitRows{Words: w, Succ: make([]uint64, n*w), Pred: make([]uint64, n*w)}
+		for u := 0; u < n; u++ {
+			for _, v := range d.Data.Succs(u) {
+				d.rows.Succ[u*w+v/64] |= 1 << (v % 64)
+				d.rows.Pred[v*w+u/64] |= 1 << (u % 64)
+			}
+		}
+	})
+	return &d.rows
 }
 
 // In returns IN(S): the number of distinct register values the subgraph

@@ -243,6 +243,17 @@ func TestBuildAllOnBenchmarks(t *testing.T) {
 					}
 				}
 			}
+			// DataRows holds exactly the data edges, in both directions.
+			rows := d.DataRows()
+			for u := 0; u < d.Len(); u++ {
+				for v := 0; v < d.Len(); v++ {
+					succ := rows.SuccRow(u)[v/64]&(1<<(v%64)) != 0
+					pred := rows.PredRow(v)[u/64]&(1<<(u%64)) != 0
+					if succ != d.Data.HasEdge(u, v) || pred != d.Data.HasEdge(u, v) {
+						t.Errorf("%s %s: DataRows disagree with Data on (%d,%d)", bm.FullName(), d.Name, u, v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -112,9 +112,9 @@ func TestCallGraphGoDeferSites(t *testing.T) {
 }
 
 // TestAllocFreeRealTree is the acceptance check: the //alloc:free roots in
-// the real module — the scheduling kernel and the explorer steady-state
-// loop, whose contracts the runtime alloc tests pin — must produce zero
-// unsuppressed allocfree findings.
+// the real module — the scheduling kernel, the explorer steady-state loop
+// and the subgraph matcher's search, whose contracts the runtime alloc tests
+// pin — must produce zero unsuppressed allocfree findings.
 func TestAllocFreeRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the real module; skipped in -short")
@@ -127,7 +127,7 @@ func TestAllocFreeRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	for _, dir := range []string{"internal/sched", "internal/core"} {
+	for _, dir := range []string{"internal/sched", "internal/core", "internal/match"} {
 		pkg, err := l.Load(filepath.Join(root, dir))
 		if err != nil {
 			t.Fatalf("loading %s: %v", dir, err)
@@ -144,8 +144,8 @@ func TestAllocFreeRealTree(t *testing.T) {
 			roots++
 		}
 	}
-	if roots < 4 {
-		t.Fatalf("found %d //alloc:free roots, want at least 4 (Scheduler.Schedule, explorer.walk/trailUpdate/meritUpdate)", roots)
+	if roots < 5 {
+		t.Fatalf("found %d //alloc:free roots, want at least 5 (Scheduler.Schedule, explorer.walk/trailUpdate/meritUpdate, searcher.search)", roots)
 	}
 	for _, f := range RunProgram(pkgs, &Config{Analyzers: []*Analyzer{AllocFree}}) {
 		if !f.Suppressed {
