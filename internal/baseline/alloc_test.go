@@ -96,19 +96,9 @@ func TestBaselineSharedScratchDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, pair := range []struct{ got, want *core.Result }{{got1, want1}, {got2, want2}} {
-				if pair.got.FinalCycles != pair.want.FinalCycles ||
-					pair.got.BaseCycles != pair.want.BaseCycles ||
-					pair.got.AreaUM2() != pair.want.AreaUM2() ||
-					len(pair.got.ISEs) != len(pair.want.ISEs) {
-					t.Fatalf("workers=%d round=%d dfg=%d: shared-scratch result differs: %d->%d area %v (%d ISEs) vs %d->%d area %v (%d ISEs)",
-						workers, round, i+1,
-						pair.got.BaseCycles, pair.got.FinalCycles, pair.got.AreaUM2(), len(pair.got.ISEs),
-						pair.want.BaseCycles, pair.want.FinalCycles, pair.want.AreaUM2(), len(pair.want.ISEs))
-				}
-				for j := range pair.got.ISEs {
-					if !pair.got.ISEs[j].Nodes.Equal(pair.want.ISEs[j].Nodes) {
-						t.Fatalf("workers=%d round=%d dfg=%d: ISE %d membership differs", workers, round, i+1, j)
-					}
+				if g, w := formatResult(pair.got), formatResult(pair.want); g != w {
+					t.Fatalf("workers=%d round=%d dfg=%d: shared-scratch result differs:\n got: %s\nwant: %s",
+						workers, round, i+1, g, w)
 				}
 			}
 		}
