@@ -31,23 +31,22 @@ func hotBenchDFG(t *testing.T, name, opt string) *dfg.DFG {
 // nothing. Runs under -race via `make race`.
 func TestBaselineSteadyStateAllocs(t *testing.T) {
 	d := hotBenchDFG(t, "crc32", "O3")
-	e := &explorer{}
-	e.reset(d, machine.New(2, 4, 2), core.DefaultParams(), aco.NewRand(1))
-	if err := e.ensureTopo(); err != nil {
+	e := &explorer{Colony: core.Colony{Grows: obsBaselineArenaGrows}}
+	if err := e.reset(d, machine.New(2, 4, 2), core.DefaultParams(), aco.NewRand(1)); err != nil {
 		t.Fatal(err)
 	}
-	e.initTables()
+	e.InitTables()
 	tetOld := 1 << 30
 	iterate := func() {
 		chosen := e.selectOptions()
 		tet := e.serialCycles(chosen)
 		improved := tet <= tetOld
-		e.trailUpdate(chosen, improved)
+		e.UpdateTrail(chosen, improved, nil, nil)
 		if improved {
 			tetOld = tet
 		}
 		e.meritUpdate(chosen)
-		e.convergedNow()
+		e.ConvergedNow()
 	}
 	// Warm the arenas: iteration groups vary in size and count, so several
 	// iterations are needed before every buffer reaches steady-state

@@ -40,6 +40,8 @@ var (
 		"Baseline worker scratch (kernel + explorer arenas) acquisitions served warm from a Scratch pool.")
 	obsBaselineScratchFresh = obs.Default.Counter("ise_baseline_scratch_fresh_total",
 		"Baseline worker scratch acquisitions that had to build a fresh kernel + explorer.")
+	obsBaselineArenaGrows = obs.Default.Counter("ise_baseline_arena_grows_total",
+		"Baseline-explorer arena buffer (re)allocations — nonzero only while per-worker arenas warm up to their DFG.")
 )
 
 // workerScratch bundles the reusable per-worker state of one baseline
@@ -62,7 +64,10 @@ type Scratch struct {
 func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.pool.New = func() any {
-		return &workerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
+		return &workerScratch{
+			kern: sched.NewScheduler(),
+			exp:  &explorer{Colony: core.Colony{Grows: obsBaselineArenaGrows}},
+		}
 	}
 	s.pool.Reused = obsBaselineScratchReused
 	s.pool.Fresh = obsBaselineScratchFresh
@@ -146,41 +151,20 @@ func ExploreSharedCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p cor
 	return best, nil
 }
 
-// explorer carries the baseline's per-DFG state across rounds and
-// iterations. One explorer is owned by one exploration worker at a time and
-// reused across restarts, explorations and DFGs (reset rebinds it): every
-// `arena:` annotated field below is scratch recycled each iteration, so
-// steady-state option selection and merit sweeps allocate nothing. Reuse is
-// pure scratch — which worker runs which restart never affects the result.
+// explorer is the single-issue engine: the shared core.Colony plus what
+// makes the search Wu et al.'s legality-only one — option draws in node
+// order that schedule nothing, iteration groups priced by the serial cycle
+// model, and case-4 shaping against a subgraph's serial cost. One explorer
+// is owned by one exploration worker at a time and reused across restarts,
+// explorations and DFGs (reset rebinds it): every `arena:` annotated field
+// below is scratch recycled each iteration, so steady-state option selection
+// and merit sweeps allocate nothing. Reuse is pure scratch — which worker
+// runs which restart never affects the result.
 type explorer struct {
-	d   *dfg.DFG
-	cfg machine.Config
-	p   core.Params
+	core.Colony
 	rng *rand.Rand
 
-	// fixed are ISEs accepted in earlier rounds; their members (marked in
-	// inISE) no longer make choices.
-	fixed []*core.ISE
-	inISE []bool // arena: reset to false each restart
-
-	// Option tables for free nodes, software options first (numSW of them),
-	// hardware after. The rows slice two flat backing arrays sized once per
-	// DFG; initTables re-seeds the values each round.
-	trail [][]float64
-	merit [][]float64
-	numSW []int
-	// trailBuf and meritBuf back every trail/merit row. arena: resliced when
-	// the DFG changes, owned by the rows for the explorer's lifetime.
-	trailBuf, meritBuf []float64
-	tablesFor          *dfg.DFG // DFG the table structure was built for
-
-	// topo caches the DFG's topological order and topoPos each node's
-	// position in it (rebuilt when the DFG changes).
-	topo    []int
-	topoPos []int
-
-	chosen  []int     // arena: selectOptions' per-node option choices
-	weights []float64 // arena: optWeights' combined option weights
+	chosen []int // arena: selectOptions' per-node option choices
 
 	// Iteration groups — the connected components of hardware-chosen free
 	// nodes — as a flat CSR: group g's members are
@@ -193,72 +177,30 @@ type explorer struct {
 	groupNodes []int         // arena: flat group-member storage
 	groupStack []int         // arena: component DFS stack
 
-	// Subgraph-metric scratch. depthF entries are written before they are
-	// read in topological order, so no reset is needed between calls.
-	depthF    []float64     // arena: longest-path depths
-	vsSet     graph.NodeSet // arena: hwMerit's virtual subgraph vSx
-	vsMembers []int         // arena: membersInTopoOrder's result
-	hwCycles  []int         // arena: per-option subgraph cycles
-	hwAreas   []float64     // arena: per-option subgraph areas
-
-	// IN/OUT counting scratch: ioMark era-stamps dedup keys (producer node
-	// id, or Len()+register for live-ins), ioMembers holds the queried set's
-	// members. Replaces dfg.In/Out's per-call map on the merit hot path.
-	ioMark    []int // arena: era-stamped operand dedup marks
-	ioMembers []int // arena: member extraction buffer
-	ioEra     int
-	ioMarkFor *dfg.DFG // DFG ioMark was sized for
-
-	convex graph.Scratch // reusable convexity-check traversal buffers
+	vsSet graph.NodeSet // arena: hwMerit's virtual subgraph vSx
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
-// warmed arena. Per-DFG caches (topo order, table structure, IO-mark sizing)
-// survive across restarts on the same DFG and are dropped when it changes;
-// per-iteration scratch needs no reset — each use fully overwrites it.
-func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) {
-	if e.d != d {
-		e.topo, e.topoPos = nil, nil
-		e.tablesFor = nil
-		e.ioMarkFor = nil
-	}
-	e.d, e.cfg, e.p, e.rng = d, cfg, p, rng
-	e.fixed = e.fixed[:0]
-	e.inISE = growBools(e.inISE, d.Len())
-	for i := range e.inISE {
-		e.inISE[i] = false
-	}
-}
-
-// ensureTopo computes and caches the DFG's topological order on first use
-// after a DFG change; every later call returns the cache.
-func (e *explorer) ensureTopo() error {
-	if e.topo != nil {
-		return nil
-	}
-	order, err := e.d.G.TopoOrder()
-	if err != nil {
-		return fmt.Errorf("baseline: %s: %w", e.d.Name, err)
-	}
-	e.topo = order
-	e.topoPos = growInts(e.topoPos, len(order))
-	for i, v := range order {
-		e.topoPos[v] = i
+// warmed arena; per-iteration scratch needs no reset — each use fully
+// overwrites it.
+func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) error {
+	e.rng = rng
+	if err := e.Bind(d, cfg, p); err != nil {
+		return fmt.Errorf("baseline: %w", err)
 	}
 	return nil
 }
 
 func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params, seed int64, baseCycles int, ws *workerScratch) (*core.Result, int, error) {
 	e := ws.exp
-	e.reset(d, cfg, p, aco.NewRand(seed))
-	if err := e.ensureTopo(); err != nil {
+	if err := e.reset(d, cfg, p, aco.NewRand(seed)); err != nil {
 		return nil, 0, err
 	}
 
 	res := &core.Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
 	curSerial := e.serialCycles(nil)
 	for round := 0; round < p.MaxRounds; round++ {
-		e.initTables()
+		e.InitTables()
 		iters, err := e.converge(ctx)
 		if err != nil {
 			return nil, 0, err
@@ -270,14 +212,11 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 			break
 		}
 		cand.SavingCycles = curSerial - serial
-		e.fixed = append(e.fixed, cand)
-		for _, v := range cand.Nodes.Values() {
-			e.inISE[v] = true
-		}
+		e.Accept(cand)
 		curSerial = serial
 	}
 
-	res.ISEs = append(res.ISEs, e.fixed...)
+	res.ISEs = append(res.ISEs, e.Fixed...)
 	res.Assignment = core.BuildAssignment(d, res.ISEs)
 	final, err := ws.kern.Schedule(d, res.Assignment, cfg)
 	if err != nil {
@@ -287,89 +226,28 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 	return res, curSerial, nil
 }
 
-// initTables (re)seeds the option tables for a fresh round: trail to zero,
-// merit to the configured initial values. The row structure over the flat
-// backing arrays is rebuilt only when the DFG changes.
-func (e *explorer) initTables() {
-	n := e.d.Len()
-	if e.tablesFor != e.d {
-		e.numSW = growInts(e.numSW, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			e.numSW[i] = len(node.SW)
-			total += len(node.SW) + len(node.HW)
-		}
-		e.trailBuf = growFloats(e.trailBuf, total)
-		e.meritBuf = growFloats(e.meritBuf, total)
-		if cap(e.trail) < n {
-			e.trail = make([][]float64, n)
-			e.merit = make([][]float64, n)
-		} else {
-			e.trail = e.trail[:n]
-			e.merit = e.merit[:n]
-		}
-		off := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			opts := len(node.SW) + len(node.HW)
-			//lint:ignore arenaescape trail rows alias trailBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.trail[i] = e.trailBuf[off : off+opts : off+opts]
-			//lint:ignore arenaescape merit rows alias meritBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.merit[i] = e.meritBuf[off : off+opts : off+opts]
-			off += opts
-		}
-		e.tablesFor = e.d
-	}
-	for i := 0; i < n; i++ {
-		trail, merit := e.trail[i], e.merit[i]
-		for o := range trail {
-			trail[o] = 0
-			if o < e.numSW[i] {
-				merit[o] = e.p.InitMeritSW
-			} else {
-				merit[o] = e.p.InitMeritHW
-			}
-		}
-	}
-}
-
 // converge runs option-selection iterations until P_END or the cap. The
 // context is checked before each iteration; a cancelled round aborts the
 // restart with ctx's error.
 func (e *explorer) converge(ctx context.Context) (int, error) {
 	tetOld := 1 << 30
-	for it := 1; it <= e.p.MaxIterations; it++ {
+	for it := 1; it <= e.P.MaxIterations; it++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		chosen := e.selectOptions()
 		tet := e.serialCycles(chosen)
 		improved := tet <= tetOld
-		e.trailUpdate(chosen, improved)
+		e.UpdateTrail(chosen, improved, nil, nil)
 		if improved {
 			tetOld = tet
 		}
 		e.meritUpdate(chosen)
-		if e.convergedNow() {
+		if e.ConvergedNow() {
 			return it, nil
 		}
 	}
-	return e.p.MaxIterations, nil
-}
-
-// optWeights fills the shared weight buffer with node x's combined
-// trail/merit option weights (Eq. 1 without the priority term — the baseline
-// does not schedule). The result aliases the explorer's arena and is valid
-// until the next call.
-func (e *explorer) optWeights(x int) []float64 {
-	e.weights = growFloats(e.weights, len(e.trail[x]))
-	w := e.weights
-	for o := range w {
-		w[o] = e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o]
-	}
-	//lint:ignore arenaescape callers consume the weights before the next optWeights call
-	return w
+	return e.P.MaxIterations, nil
 }
 
 // selectOptions draws one implementation option per free node in node order
@@ -379,17 +257,16 @@ func (e *explorer) optWeights(x int) []float64 {
 //
 //alloc:free
 func (e *explorer) selectOptions() []int {
-	n := e.d.Len()
-	e.chosen = growInts(e.chosen, n)
-	chosen := e.chosen
+	n := e.D.Len()
+	chosen := e.GrowInts(e.chosen, n)
 	for x := 0; x < n; x++ {
-		if e.inISE[x] {
+		if !e.Free(x) {
 			chosen[x] = -1
 			continue
 		}
-		chosen[x] = aco.SelectWeighted(e.rng, e.optWeights(x))
+		chosen[x] = aco.SelectWeighted(e.rng, e.Weights(x))
 	}
-	//lint:ignore arenaescape caller consumes chosen before the next selectOptions call
+	e.chosen = chosen
 	return chosen
 }
 
@@ -401,18 +278,18 @@ func (e *explorer) selectOptions() []int {
 //
 //alloc:free
 func (e *explorer) buildGroups(chosen []int) {
-	d := e.d
+	d := e.D
 	n := d.Len()
 	e.hwSet.Reset(n)
 	hw := &e.hwSet
 	anyHW := false
 	for v := 0; v < n; v++ {
-		if !e.inISE[v] && chosen[v] >= e.numSW[v] && d.Nodes[v].ISEEligible() {
+		if e.Free(v) && e.IsHWOption(v, chosen[v]) && d.Nodes[v].ISEEligible() {
 			hw.Add(v)
 			anyHW = true
 		}
 	}
-	e.groupOf = growInts(e.groupOf, n)
+	e.groupOf = e.GrowInts(e.groupOf, n)
 	groupOf := e.groupOf
 	for i := range groupOf {
 		groupOf[i] = -1
@@ -446,19 +323,7 @@ func (e *explorer) buildGroups(chosen []int) {
 					}
 				}
 			}
-			// Insertion sort the segment by (unique) topological position:
-			// members are nearly sorted already and small, and unlike
-			// sort.Slice this allocates nothing.
-			seg := mem[starts[ng]:]
-			for i := 1; i < len(seg); i++ {
-				v := seg[i]
-				j := i - 1
-				for j >= 0 && e.topoPos[seg[j]] > e.topoPos[v] {
-					seg[j+1] = seg[j]
-					j--
-				}
-				seg[j+1] = v
-			}
+			e.SortByTopo(mem[starts[ng]:])
 			ng++
 		}
 		e.groupStack = stack
@@ -476,194 +341,24 @@ func (e *explorer) buildGroups(chosen []int) {
 //alloc:free
 func (e *explorer) serialCycles(chosen []int) int {
 	cycles, counted := 0, 0
-	for _, f := range e.fixed {
+	for _, f := range e.Fixed {
 		cycles += f.Cycles
 		counted += f.Nodes.Len()
 	}
 	if chosen != nil {
 		e.buildGroups(chosen)
 		for g := 0; g < len(e.groupStart)-1; g++ {
+			// A group is a connected component of hwSet, so a member's
+			// predecessors in hwSet are exactly its in-group ones.
 			members := e.groupNodes[e.groupStart[g]:e.groupStart[g+1]]
-			cycles += sched.CyclesForDelay(e.groupDelay(members, chosen))
+			delay, _ := e.SubgraphMetrics(e.hwSet, members, chosen, -1, 0)
+			cycles += sched.CyclesForDelay(delay)
 			counted += len(members)
 		}
 	}
 	// Fixed members, group members and the remaining one-cycle software
 	// stream are disjoint, so the uncounted remainder is n - counted.
-	return cycles + e.d.Len() - counted
-}
-
-// groupDelay is the combinational depth of one iteration group. members must
-// be the group's CSR segment (topologically sorted), so each member's
-// in-group predecessors are written into depthF before it reads them.
-func (e *explorer) groupDelay(members []int, chosen []int) float64 {
-	d := e.d
-	e.depthF = growFloats(e.depthF, d.Len())
-	depth := e.depthF
-	g := e.groupOf[members[0]]
-	maxDelay := 0.0
-	for _, v := range members {
-		j := chosen[v] - e.numSW[v]
-		if j < 0 {
-			j = 0 // member chose software; assume its first cell
-		}
-		in := 0.0
-		for _, p := range d.G.Preds(v) {
-			if e.groupOf[p] == g && depth[p] > in {
-				in = depth[p]
-			}
-		}
-		dv := in + d.Nodes[v].HW[j].DelayNS
-		depth[v] = dv
-		if dv > maxDelay {
-			maxDelay = dv
-		}
-	}
-	return maxDelay
-}
-
-// vsMetrics measures subgraph vs's combinational depth and area; if override
-// is a member, it uses hwIdx for that node instead of its chosen option.
-// members must be vs's members in topological order — the float accumulation
-// order of the original whole-topo scan.
-func (e *explorer) vsMetrics(vs graph.NodeSet, members []int, chosen []int, override, hwIdx int) (delayNS, areaUM2 float64) {
-	d := e.d
-	e.depthF = growFloats(e.depthF, d.Len())
-	depth := e.depthF
-	for _, v := range members {
-		j := hwIdx
-		if v != override {
-			j = chosen[v] - e.numSW[v]
-			if j < 0 {
-				j = 0 // member chose software; assume its first cell
-			}
-		}
-		in := 0.0
-		for _, p := range d.G.Preds(v) {
-			if vs.Contains(p) && depth[p] > in {
-				in = depth[p]
-			}
-		}
-		dv := in + d.Nodes[v].HW[j].DelayNS
-		depth[v] = dv
-		if dv > delayNS {
-			delayNS = dv
-		}
-		areaUM2 += d.Nodes[v].HW[j].AreaUM2
-	}
-	return delayNS, areaUM2
-}
-
-// membersInTopoOrder returns the members of vs sorted by topological
-// position. The result aliases the explorer's arena and is valid until the
-// next call.
-func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	members := vs.AppendValues(e.vsMembers[:0])
-	for i := 1; i < len(members); i++ {
-		v := members[i]
-		j := i - 1
-		for j >= 0 && e.topoPos[members[j]] > e.topoPos[v] {
-			members[j+1] = members[j]
-			j--
-		}
-		members[j+1] = v
-	}
-	e.vsMembers = members
-	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
-	return members
-}
-
-// countIn is dfg.In without the per-call map: the number of distinct
-// register values s consumes from outside itself, deduplicated with
-// era-stamped marks (external producers by node id, live-in operands by
-// register).
-func (e *explorer) countIn(s graph.NodeSet) int {
-	d := e.d
-	n := d.Len()
-	if e.ioMarkFor != d {
-		need := n
-		for i := range d.Nodes {
-			for _, src := range d.Nodes[i].Inputs {
-				if src.Producer < 0 && n+int(src.Reg) >= need {
-					need = n + int(src.Reg) + 1
-				}
-			}
-		}
-		// Stale marks hold earlier eras and never collide: ioEra only grows.
-		e.ioMark = growInts(e.ioMark, need)
-		e.ioMarkFor = d
-	}
-	e.ioEra++
-	era := e.ioEra
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	in := 0
-	for _, id := range members {
-		for _, src := range d.Nodes[id].Inputs {
-			if src.Producer >= 0 && s.Contains(src.Producer) {
-				continue // internal value
-			}
-			idx := n + int(src.Reg)
-			if src.Producer >= 0 {
-				idx = src.Producer // identified by producer alone
-			}
-			if e.ioMark[idx] != era {
-				e.ioMark[idx] = era
-				in++
-			}
-		}
-	}
-	return in
-}
-
-// countOut is dfg.Out without the member-slice allocation: the number of
-// nodes in s whose value escapes s.
-func (e *explorer) countOut(s graph.NodeSet) int {
-	d := e.d
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	out := 0
-	for _, id := range members {
-		node := d.Nodes[id]
-		escapes := node.LiveOut
-		if !escapes {
-			for _, succ := range node.DataSuccs {
-				if !s.Contains(succ) {
-					escapes = true
-					break
-				}
-			}
-		}
-		if escapes {
-			out++
-		}
-	}
-	return out
-}
-
-//alloc:free
-func (e *explorer) trailUpdate(chosen []int, improved bool) {
-	for x := 0; x < e.d.Len(); x++ {
-		if e.inISE[x] {
-			continue
-		}
-		for o := range e.trail[x] {
-			sel := chosen[x] == o
-			switch {
-			case improved && sel:
-				e.trail[x][o] += e.p.Rho1
-			case improved:
-				e.trail[x][o] -= e.p.Rho2
-			case sel:
-				e.trail[x][o] -= e.p.Rho3
-			default:
-				e.trail[x][o] += e.p.Rho4
-			}
-			if e.trail[x][o] < 0 {
-				e.trail[x][o] = 0
-			}
-		}
-	}
+	return cycles + e.D.Len() - counted
 }
 
 // meritUpdate is the legality-only merit function: no critical-path case, no
@@ -673,19 +368,16 @@ func (e *explorer) trailUpdate(chosen []int, improved bool) {
 //
 //alloc:free
 func (e *explorer) meritUpdate(chosen []int) {
-	d := e.d
+	d := e.D
 	for x := 0; x < d.Len(); x++ {
-		if e.inISE[x] {
+		if !e.Free(x) {
 			continue
 		}
-		node := d.Nodes[x]
-		for i := 0; i < e.numSW[x]; i++ {
-			e.merit[x][i] *= float64(node.SW[i].Cycles)
-		}
-		if len(node.HW) > 0 {
+		e.SoftwareMerit(x)
+		if len(d.Nodes[x].HW) > 0 {
 			e.hwMerit(chosen, x)
 		}
-		aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
+		e.NormalizeMerit(x)
 	}
 }
 
@@ -696,14 +388,13 @@ func (e *explorer) addGroupMembers(g int) {
 	}
 }
 
+// hwMerit shapes x's hardware options over vSx, x joined with its own and
+// its neighbours' iteration groups: the shared size and constraint cases,
+// then case 4 with the subgraph's serial cost (one cycle per member) and
+// area rewarded only at the fastest option — there is no critical path and
+// no slack to spend.
 func (e *explorer) hwMerit(chosen []int, x int) {
-	d := e.d
-	p := e.p
-	hw := d.Nodes[x].HW
-	base := e.numSW[x]
-
-	// vSx: x joined with its adjacent hardware group(s). Build order is
-	// irrelevant — only membership is read.
+	d := e.D
 	e.vsSet.Reset(d.Len())
 	e.vsSet.Add(x)
 	for _, nb := range d.G.Succs(x) {
@@ -720,127 +411,28 @@ func (e *explorer) hwMerit(chosen []int, x int) {
 		e.addGroupMembers(g)
 	}
 	vs := e.vsSet
-
-	if vs.Len() == 1 {
-		for j := range hw {
-			e.merit[x][base+j] *= p.BetaSize
-		}
+	if !e.LegalSubgraph(x, vs) {
 		return
 	}
-	violated := false
-	if e.countIn(vs) > e.cfg.ReadPorts || e.countOut(vs) > e.cfg.WritePorts {
-		for j := range hw {
-			e.merit[x][base+j] *= p.BetaIO
-		}
-		violated = true
-	}
-	if !d.G.IsConvexScratch(vs, &e.convex) {
-		for j := range hw {
-			e.merit[x][base+j] *= p.BetaConvex
-		}
-		violated = true
-	}
-	if violated {
-		return
-	}
-	// Serial saving: the group replaces size(vS) one-cycle instructions.
-	members := e.membersInTopoOrder(vs)
-	minCycles, maxArea := 1<<30, 0.0
-	e.hwCycles = growInts(e.hwCycles, len(hw))
-	e.hwAreas = growFloats(e.hwAreas, len(hw))
-	cyc, area := e.hwCycles, e.hwAreas
-	for j := range hw {
-		dly, a := e.vsMetrics(vs, members, chosen, x, j)
-		cyc[j] = sched.CyclesForDelay(dly)
-		area[j] = a
-		if cyc[j] < minCycles {
-			minCycles = cyc[j]
-		}
-		if a > maxArea {
-			maxArea = a
-		}
-	}
-	for j := range hw {
-		m := &e.merit[x][base+j]
-		if p.MaxISECycles > 0 && cyc[j] > p.MaxISECycles {
-			*m *= p.BetaIO
-			continue
-		}
-		saving := vs.Len() - cyc[j]
-		switch {
-		case saving > 0:
-			*m *= float64(1 + saving)
-		case saving < 0:
-			*m /= float64(1 - saving)
-		}
-		if cyc[j] == minCycles {
-			if area[j] > 0 {
-				*m *= maxArea / area[j]
-			}
-		} else {
-			*m /= float64(1 + cyc[j] - minCycles)
-		}
-	}
+	members := e.MembersInTopoOrder(vs)
+	minCycles, maxArea := e.OptionMetrics(vs, members, chosen, x)
+	e.ShapeHW(x, vs.Len(), minCycles, maxArea)
 }
 
-//alloc:free
-func (e *explorer) convergedNow() bool {
-	for x := 0; x < e.d.Len(); x++ {
-		if e.inISE[x] || len(e.trail[x]) <= 1 {
-			continue
-		}
-		share, _ := aco.MaxShare(e.optWeights(x))
-		if share < e.p.PEnd {
-			return false
-		}
-	}
-	return true
-}
-
-// bestCandidate extracts the converged hardware selection, shapes it into
-// legal candidates, and returns the one with the best *serial* gain — the
-// single-issue objective — together with the resulting serial cycle count.
-// It runs once per round (not per iteration), so it stays off the zero-alloc
-// contract and uses the allocating shaping helpers directly.
+// bestCandidate returns the round's candidate (core.Colony.Candidates) with
+// the best *serial* gain — the single-issue objective — together with the
+// resulting serial cycle count; area breaks ties.
 func (e *explorer) bestCandidate(curSerial int) (*core.ISE, int) {
-	d := e.d
-	taken := graph.NewNodeSet(d.Len())
-	optOf := map[int]int{}
-	for x := 0; x < d.Len(); x++ {
-		if e.inISE[x] || !d.Nodes[x].ISEEligible() {
-			continue
-		}
-		_, o := aco.MaxShare(e.optWeights(x))
-		if o >= e.numSW[x] {
-			taken.Add(x)
-			optOf[x] = o - e.numSW[x]
-		}
-	}
-	if taken.Empty() {
-		return nil, curSerial
-	}
 	var best *core.ISE
 	bestSerial := curSerial
-	for _, comp := range d.G.ConnectedComponents(taken) {
-		for _, convex := range core.MakeConvex(d, comp) {
-			feasible := core.TrimPorts(d, convex, e.cfg.ReadPorts, e.cfg.WritePorts)
-			feasible = core.TrimLatency(d, feasible, optOf, e.p.MaxISECycles)
-			feasible = core.TrimPorts(d, feasible, e.cfg.ReadPorts, e.cfg.WritePorts)
-			for _, part := range d.G.ConnectedComponents(feasible) {
-				if part.Len() < 2 {
-					continue
-				}
-				ise := core.NewISE(d, part, optOf)
-				// Serial gain: members leave the 1-cycle stream, ISE joins.
-				serial := curSerial - part.Len() + ise.Cycles
-				if serial > curSerial {
-					continue
-				}
-				if best == nil || serial < bestSerial ||
-					(serial == bestSerial && ise.AreaUM2 < best.AreaUM2) {
-					best, bestSerial = ise, serial
-				}
-			}
+	for _, ise := range e.Candidates() {
+		// Serial gain: members leave the 1-cycle stream, ISE joins.
+		serial := curSerial - ise.Size() + ise.Cycles
+		if serial > curSerial {
+			continue
+		}
+		if best == nil || serial < bestSerial || (serial == bestSerial && ise.AreaUM2 < best.AreaUM2) {
+			best, bestSerial = ise, serial
 		}
 	}
 	return best, bestSerial

@@ -14,13 +14,13 @@ import (
 // `make race`.
 func TestExploreSteadyStateAllocs(t *testing.T) {
 	d := hotBenchDFG(t, "crc32", "O3")
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	var prevOrder []int
 	tetOld := 1 << 30
 	iterate := func() {
 		res := e.walk()
 		improved := res.tet <= tetOld
-		e.trailUpdate(res, improved, prevOrder)
+		e.UpdateTrail(res.chosen, improved, res.orderPos, prevOrder)
 		if improved {
 			tetOld = res.tet
 		}
@@ -29,7 +29,7 @@ func TestExploreSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm the arenas: ant walks vary in group count and schedule length, so
 	// several iterations are needed before every buffer reaches steady-state
-	// capacity. The fixed RNG seed in newExplorer makes the warmup sequence —
+	// capacity. The fixed RNG seed in testExplorer makes the warmup sequence —
 	// and therefore the measurement below — deterministic.
 	for i := 0; i < 50; i++ {
 		iterate()

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/aco"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -259,16 +258,7 @@ func TestTrimPortsReducesDemand(t *testing.T) {
 func TestWalkProducesCompleteValidSchedule(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 6) })
 	cfg := machine.New(2, 4, 2)
-	e := &explorer{
-		d: d, cfg: cfg, p: FastParams(),
-		rng:          aco.NewRand(7),
-		fixedGroupOf: make([]int, d.Len()),
-		sp:           make([]float64, d.Len()),
-	}
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.initTables()
+	e := testExplorer(t, d, cfg, FastParams(), 7)
 	for trial := 0; trial < 20; trial++ {
 		res := e.walk()
 		if res.tet < 1 {

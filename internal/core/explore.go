@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/aco"
 	"repro/internal/dfg"
-	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -230,7 +229,7 @@ func ExploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 	}()
 	cancelErr := parallel.ForEach(ctx, len(todo), p.Workers, func(w, ti int) {
 		r := todo[ti]
-		res, part, err := runOnce(ctx, d, cfg, p, p.Seed+int64(r)*7919, baseCycles, cache, ws[w].kern, ws[w].exp, partials[r], opts.Trace, opts.Flight, r)
+		res, part, err := runOnce(ctx, d, cfg, p, p.Seed+int64(r)*7919, baseCycles, cache, ws[w], partials[r], opts.Trace, opts.Flight, r)
 		switch {
 		case err != nil:
 			errs[r] = err
@@ -335,23 +334,19 @@ func BestResult(results []*Result) *Result {
 // non-nil, the restart first restores that checkpoint (accepted ISEs,
 // trail/merit tables, RNG position) and continues as if it had never
 // stopped.
-func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed int64, baseCycles int, cache *EvalCache, kern *sched.Scheduler, exp *explorer, resume *RestartPartial, tr *obs.Tracer, fl *obs.Flight, restart int) (*Result, *RestartPartial, error) {
-	if kern == nil {
-		kern = sched.NewScheduler()
-	}
-	if exp == nil {
-		exp = &explorer{}
-	}
+func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed int64, baseCycles int, cache *EvalCache, ws *WorkerScratch, resume *RestartPartial, tr *obs.Tracer, fl *obs.Flight, restart int) (*Result, *RestartPartial, error) {
 	tid := restart + 1
 	if tr.Enabled() {
 		tr.NameTrack(tid, fmt.Sprintf("restart %d", restart))
 	}
-	kern.SetTrace(tr, tid)
+	ws.kern.SetTrace(tr, tid)
 	restartSpan := tr.Begin("restart", tid).Arg("restart", int64(restart))
 	defer restartSpan.End()
 	rng, rngSrc := aco.NewCountedRand(seed)
-	e := exp
-	e.reset(d, cfg, p, rng, rngSrc, cache, kern, tr, tid)
+	e := ws.exp
+	if err := e.reset(d, cfg, p, rng, rngSrc, cache, ws.kern, tr, tid); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
 
 	res := &Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
 	curLen := baseCycles
@@ -361,11 +356,8 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 		if err != nil {
 			return nil, nil, err
 		}
-		e.fixed = fixed
-		for g, f := range e.fixed {
-			for _, v := range f.Nodes.Values() {
-				e.fixedGroupOf[v] = g
-			}
+		for _, f := range fixed {
+			e.Accept(f)
 		}
 		e.rngSrc.Skip(resume.RNGDraws)
 		res.Rounds = resume.Rounds
@@ -375,7 +367,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 	}
 	for round := startRound; round < p.MaxRounds; round++ {
 		roundSpan := e.tr.Begin("round", e.tid).Arg("round", int64(round))
-		e.initTables()
+		e.InitTables()
 		cs := &convergeState{tetOld: 1 << 30}
 		if resume != nil && round == startRound && resume.Iter > 0 {
 			// Mid-round checkpoint: overwrite the fresh tables with the
@@ -404,26 +396,23 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 		res.Rounds++
 		obsRounds.Inc()
 
-		cand := e.bestCandidate(curLen)
+		cand, cycles := e.bestCandidate(curLen)
 		roundSpan.Arg("iters", int64(cs.iter)).End()
 		if cand != nil {
-			cand.ise.SavingCycles = curLen - cand.cycles
-			e.fixed = append(e.fixed, cand.ise)
-			for _, v := range cand.ise.Nodes.Values() {
-				e.fixedGroupOf[v] = len(e.fixed) - 1
-			}
-			curLen = cand.cycles
+			cand.SavingCycles = curLen - cycles
+			e.Accept(cand)
+			curLen = cycles
 		}
 		// Convergence sample: best schedule length after this round and the
 		// accepted-ISE count. Pure function of the exploration inputs, so a
 		// resumed run re-records identical samples for replayed rounds.
-		fl.Record(obs.FlightRound, restart, round, float64(curLen), float64(len(e.fixed)))
+		fl.Record(obs.FlightRound, restart, round, float64(curLen), float64(len(e.Fixed)))
 		if cand == nil {
 			break
 		}
 	}
 
-	res.ISEs = append(res.ISEs, e.fixed...)
+	res.ISEs = append(res.ISEs, e.Fixed...)
 	res.Assignment = BuildAssignment(d, res.ISEs)
 	final, err := cache.ScheduleWith(e.kern, d, res.Assignment, cfg)
 	if err != nil {
@@ -435,7 +424,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 
 // capture freezes the restart's state at a convergence-iteration boundary.
 // At a round boundary (no iteration run yet) the trail and merit tables are
-// omitted: initTables rebuilds them deterministically on resume.
+// omitted: InitTables rebuilds them deterministically on resume.
 func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int) *RestartPartial {
 	p := &RestartPartial{
 		Round:      round,
@@ -443,7 +432,7 @@ func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int
 		Rounds:     res.Rounds,
 		Iterations: res.Iterations,
 		CurLen:     curLen,
-		Fixed:      iseStates(e.fixed),
+		Fixed:      iseStates(e.Fixed),
 		RNGDraws:   e.rngSrc.Draws(),
 	}
 	if cs.iter > 0 {
@@ -457,15 +446,15 @@ func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int
 
 // initPriority fills the scheduling-priority vector per Params.Priority.
 func (e *explorer) initPriority() {
-	d := e.d
+	d := e.D
 	n := d.Len()
-	switch e.p.Priority {
+	switch e.P.Priority {
 	case PriorityChildren:
 		for i := 0; i < n; i++ {
 			e.sp[i] = float64(d.G.OutDegree(i))
 		}
 	case PriorityHeight, PriorityMobility:
-		order := e.topoOrder()
+		order := e.topo
 		down := make([]int, n)
 		up := make([]int, n)
 		for _, v := range order {
@@ -488,7 +477,7 @@ func (e *explorer) initPriority() {
 			up[v] = out + 1
 		}
 		for v := 0; v < n; v++ {
-			if e.p.Priority == PriorityHeight {
+			if e.P.Priority == PriorityHeight {
 				e.sp[v] = float64(up[v])
 			} else {
 				// Inverse mobility: the longest path through v. Critical
@@ -498,52 +487,7 @@ func (e *explorer) initPriority() {
 			}
 		}
 	default:
-		panic(fmt.Sprintf("core: unknown priority %d", e.p.Priority))
-	}
-}
-
-// initTables seeds trail and merit for every free node at the start of a
-// round (trail 0; merit 100 software / 200 hardware). The row structure is
-// built once per DFG over two flat backing arrays; later rounds only re-seed
-// the values, so round boundaries allocate nothing. The rows and backing
-// arrays are grow-on-demand arenas: rebinding the explorer to a smaller (or
-// equal, after presize) DFG reslices the warm buffers instead of
-// reallocating, so a flow run over many blocks pays table warmup once per
-// worker, not once per (worker, block).
-func (e *explorer) initTables() {
-	n := e.d.Len()
-	if e.tablesFor != e.d {
-		e.numSW = growInts(e.numSW, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			e.numSW[i] = len(node.SW)
-			total += len(node.SW) + len(node.HW)
-		}
-		e.trail = growRows(e.trail, n)
-		e.merit = growRows(e.merit, n)
-		e.trailBuf = growFloats(e.trailBuf, total)
-		e.meritBuf = growFloats(e.meritBuf, total)
-		off := 0
-		for i := 0; i < n; i++ {
-			opts := e.numSW[i] + len(e.d.Nodes[i].HW)
-			//lint:ignore arenaescape trail rows alias trailBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.trail[i] = e.trailBuf[off : off+opts : off+opts]
-			//lint:ignore arenaescape merit rows alias meritBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.merit[i] = e.meritBuf[off : off+opts : off+opts]
-			off += opts
-		}
-		e.tablesFor = e.d
-	}
-	for i := 0; i < n; i++ {
-		for o := range e.trail[i] {
-			e.trail[i][o] = 0
-			if o < e.numSW[i] {
-				e.merit[i][o] = e.p.InitMeritSW
-			} else {
-				e.merit[i][o] = e.p.InitMeritHW
-			}
-		}
+		panic(fmt.Sprintf("core: unknown priority %d", e.P.Priority))
 	}
 }
 
@@ -564,7 +508,7 @@ type convergeState struct {
 // cancellation interrupted the round (cs then holds everything a resumed
 // run needs) and true once the round has converged or hit the cap.
 func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
-	for cs.iter < e.p.MaxIterations {
+	for cs.iter < e.P.MaxIterations {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -574,7 +518,7 @@ func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
 		walkSpan.Arg("tet", int64(res.tet)).End()
 		improved := res.tet <= cs.tetOld
 		trailSpan := e.tr.Begin("trail", e.tid)
-		e.trailUpdate(res, improved, cs.prevOrder)
+		e.UpdateTrail(res.chosen, improved, res.orderPos, cs.prevOrder)
 		if improved {
 			cs.tetOld = res.tet
 		}
@@ -582,107 +526,34 @@ func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
 		trailSpan.End()
 		// res.orderPos is walk's arena; copy it into the round-local buffer
 		// (reused across iterations, nil only before the first one — the
-		// trailUpdate moved-earlier gate keys on that).
+		// UpdateTrail moved-earlier gate keys on that).
 		cs.prevOrder = append(cs.prevOrder[:0], res.orderPos...)
-		if e.convergedNow() {
+		if e.ConvergedNow() {
 			return true
 		}
 	}
 	return true
 }
 
-// convergedNow checks the P_END condition of Eq. 3/4 over all free nodes.
-func (e *explorer) convergedNow() bool {
-	for x := 0; x < e.d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 {
+// bestCandidate prices the round's candidates (Colony.Candidates) by
+// rescheduling the DFG with the already-accepted ISEs plus the candidate,
+// and returns the one with the shortest schedule (area breaks ties) and
+// that schedule's length. Candidates that would lengthen the schedule are
+// invalid; equal-length candidates remain acceptable so later selection
+// stages can still harvest their cross-block reuse.
+func (e *explorer) bestCandidate(curLen int) (*ISE, int) {
+	var best *ISE
+	bestCycles := curLen
+	for _, ise := range e.Candidates() {
+		cyc, err := e.evaluate(ise)
+		if err != nil || cyc > curLen {
 			continue
 		}
-		if len(e.trail[x]) <= 1 {
-			continue // single option is trivially converged
-		}
-		share, _ := aco.MaxShare(e.spWeights(x))
-		if share < e.p.PEnd {
-			return false
+		if best == nil || cyc < bestCycles || (cyc == bestCycles && ise.AreaUM2 < best.AreaUM2) {
+			best, bestCycles = ise, cyc
 		}
 	}
-	return true
-}
-
-// spWeights returns the selected-probability weights (Eq. 3 numerators) of
-// node x. The result is the explorer's arena, valid until the next call.
-func (e *explorer) spWeights(x int) []float64 {
-	w := growFloats(e.spw, len(e.trail[x]))
-	for o := range w {
-		w[o] = e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o]
-	}
-	e.spw = w
-	//lint:ignore arenaescape callers consume the weights before the next spWeights call
-	return w
-}
-
-// takenOption returns the option with maximal selected probability.
-func (e *explorer) takenOption(x int) int {
-	_, idx := aco.MaxShare(e.spWeights(x))
-	return idx
-}
-
-type candidate struct {
-	ise    *ISE
-	cycles int
-}
-
-// bestCandidate extracts ISE candidates from the converged selection
-// (connected hardware-taken components, made convex and port-feasible),
-// evaluates each by rescheduling the DFG with the already-accepted ISEs plus
-// the candidate, and returns the one with the shortest schedule (area breaks
-// ties). Candidates that would lengthen the schedule are invalid; equal-
-// length candidates remain acceptable so later selection stages can still
-// harvest their cross-block reuse.
-func (e *explorer) bestCandidate(curLen int) *candidate {
-	d := e.d
-	taken := graph.NewNodeSet(d.Len())
-	optOf := map[int]int{}
-	for x := 0; x < d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 || !d.Nodes[x].ISEEligible() {
-			continue
-		}
-		o := e.takenOption(x)
-		if e.isHWOption(x, o) {
-			taken.Add(x)
-			optOf[x] = o - e.numSW[x]
-		}
-	}
-	if taken.Empty() {
-		return nil
-	}
-	var best *candidate
-	for _, comp := range d.G.ConnectedComponents(taken) {
-		for _, convex := range MakeConvex(d, comp) {
-			feasible := TrimPorts(d, convex, e.cfg.ReadPorts, e.cfg.WritePorts)
-			feasible = TrimLatency(d, feasible, optOf, e.p.MaxISECycles)
-			feasible = TrimPorts(d, feasible, e.cfg.ReadPorts, e.cfg.WritePorts)
-			// A single operation cannot run faster than its 1-cycle software
-			// form; require at least two members.
-			for _, part := range d.G.ConnectedComponents(feasible) {
-				if part.Len() < 2 {
-					continue
-				}
-				ise := NewISE(d, part, optOf)
-				cyc, err := e.evaluate(ise)
-				if err != nil {
-					continue
-				}
-				if cyc > curLen {
-					continue
-				}
-				if best == nil || cyc < best.cycles ||
-					(cyc == best.cycles && ise.AreaUM2 < best.ise.AreaUM2) {
-					best = &candidate{ise: ise, cycles: cyc}
-				}
-			}
-		}
-	}
-	return best
+	return best, bestCycles
 }
 
 // evaluate schedules the DFG with the accepted ISEs plus cand and returns
@@ -698,17 +569,17 @@ func (e *explorer) evaluate(cand *ISE) (int, error) {
 	obsCandidates.Inc()
 	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(cand.Nodes.Len()))
 	a := e.assignmentWith(cand)
-	n, err := e.cache.ScheduleWith(e.kern, e.d, a, e.cfg)
+	n, err := e.cache.ScheduleWith(e.kern, e.D, a, e.Cfg)
 	sp.Arg("cycles", int64(n)).End()
 	return n, err
 }
 
 // assignmentWith builds the assignment realizing the accepted ISEs plus cand
 // into the explorer's reusable buffer. The result is equal to
-// BuildAssignment(e.d, append(e.fixed, cand)) — groups numbered in
+// BuildAssignment(e.D, append(e.Fixed, cand)) — groups numbered in
 // acceptance order, candidate last — and valid until the next call.
 func (e *explorer) assignmentWith(cand *ISE) sched.Assignment {
-	n := e.d.Len()
+	n := e.D.Len()
 	if cap(e.evalAssign) < n {
 		e.evalAssign = make(sched.Assignment, n)
 	}
@@ -716,13 +587,13 @@ func (e *explorer) assignmentWith(cand *ISE) sched.Assignment {
 	for i := range a {
 		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
 	}
-	for g, f := range e.fixed {
+	for g, f := range e.Fixed {
 		for _, v := range f.Nodes.Values() {
 			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: f.Option[v], Group: g}
 		}
 	}
 	for _, v := range cand.Nodes.Values() {
-		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: cand.Option[v], Group: len(e.fixed)}
+		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: cand.Option[v], Group: len(e.Fixed)}
 	}
 	e.evalAssign = a
 	return a

@@ -9,30 +9,26 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/sched"
 )
 
-// newExplorer builds an explorer with initialized tables for direct testing
-// of the algorithm's internals.
-func newExplorer(t testing.TB, d *dfg.DFG, cfg machine.Config) *explorer {
+// testExplorer builds an explorer bound to d with initialized tables for
+// direct testing of the algorithm's internals.
+func testExplorer(t testing.TB, d *dfg.DFG, cfg machine.Config, p Params, seed int64) *explorer {
 	t.Helper()
-	e := &explorer{
-		d: d, cfg: cfg, p: DefaultParams(),
-		rng:          aco.NewRand(1),
-		fixedGroupOf: make([]int, d.Len()),
-		sp:           make([]float64, d.Len()),
+	e := newExplorer()
+	rng, src := aco.NewCountedRand(seed)
+	if err := e.reset(d, cfg, p, rng, src, nil, sched.NewScheduler(), nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.initPriority()
-	e.initTables()
+	e.InitTables()
 	return e
 }
 
 // fakeWalk fabricates a walk result with the given per-node choices (true =
 // first hardware option) and a given critical set.
 func fakeWalk(e *explorer, hw []bool, critical graph.NodeSet, tet int) *walkResult {
-	n := e.d.Len()
+	n := e.D.Len()
 	res := &walkResult{
 		tet:      tet,
 		chosen:   make([]int, n),
@@ -43,7 +39,7 @@ func fakeWalk(e *explorer, hw []bool, critical graph.NodeSet, tet int) *walkResu
 	}
 	for i := 0; i < n; i++ {
 		res.groupOf[i] = -1
-		if i < len(hw) && hw[i] && len(e.d.Nodes[i].HW) > 0 {
+		if i < len(hw) && hw[i] && len(e.D.Nodes[i].HW) > 0 {
 			res.chosen[i] = e.numSW[i] // first hardware option
 		} else {
 			res.chosen[i] = 0 // first software option
@@ -58,7 +54,7 @@ func TestMeritCase1CriticalBoost(t *testing.T) {
 		b.R(isa.OpXOR, prog.T1, prog.T0, prog.A0) // n1 critical
 		b.R(isa.OpOR, prog.T2, prog.A2, prog.A3)  // n2 off-critical
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	// Everything hardware so case 4 applies to n0/n1 and n2 stays singleton.
 	res := fakeWalk(e, []bool{true, true, false}, graph.NodeSetOf(d.Len(), 0, 1), 3)
 	e.refreshMobility()
@@ -79,7 +75,7 @@ func TestMeritCase2SingletonDamped(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) {
 		b.R(isa.OpAND, prog.T0, prog.A0, prog.A1)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	res := fakeWalk(e, []bool{false}, graph.NewNodeSet(d.Len()), 1)
 	before := e.merit[0][e.numSW[0]] / e.merit[0][0]
 	e.meritUpdate(res)
@@ -100,7 +96,7 @@ func TestMeritCase3PortViolationDamped(t *testing.T) {
 		b.R(isa.OpADD, prog.T3, prog.T0, prog.T1)
 		b.R(isa.OpADD, prog.T4, prog.T3, prog.T2)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	res := fakeWalk(e, []bool{true, true, true, true, true}, graph.NewNodeSet(d.Len()), 3)
 	vs := e.virtualSubgraph(res, 4)
 	if vs.Len() != 5 {
@@ -125,7 +121,7 @@ func TestMeritCase4PrefersCheaperEqualSpeed(t *testing.T) {
 		b.R(isa.OpADD, prog.T0, prog.A0, prog.A1)
 		b.R(isa.OpADD, prog.T1, prog.T0, prog.A0)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	res := fakeWalk(e, []bool{true, true}, graph.NodeSetOf(d.Len(), 0, 1), 2)
 	e.meritUpdate(res)
 	slow := e.merit[0][e.numSW[0]]   // hw-ripple
@@ -141,7 +137,7 @@ func TestVirtualSubgraphFollowsHWChoices(t *testing.T) {
 		b.R(isa.OpXOR, prog.T1, prog.T0, prog.A0) // n1 sw (breaks the chain)
 		b.R(isa.OpOR, prog.T2, prog.T1, prog.A1)  // n2 hw
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	res := fakeWalk(e, []bool{true, false, true}, graph.NewNodeSet(d.Len()), 3)
 	vs := e.virtualSubgraph(res, 0)
 	if vs.Len() != 1 || !vs.Contains(0) {
@@ -158,24 +154,24 @@ func TestTrailUpdateRules(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) {
 		b.R(isa.OpAND, prog.T0, prog.A0, prog.A1)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	res := fakeWalk(e, []bool{true}, graph.NewNodeSet(d.Len()), 1)
 	hwIdx, swIdx := e.numSW[0], 0
 
 	// Improving iteration: selected +ρ1, unselected -ρ2 (clamped at 0).
-	e.trailUpdate(res, true, nil)
-	if e.trail[0][hwIdx] != e.p.Rho1 {
-		t.Errorf("selected trail = %v, want %v", e.trail[0][hwIdx], e.p.Rho1)
+	e.UpdateTrail(res.chosen, true, res.orderPos, nil)
+	if e.trail[0][hwIdx] != e.P.Rho1 {
+		t.Errorf("selected trail = %v, want %v", e.trail[0][hwIdx], e.P.Rho1)
 	}
 	if e.trail[0][swIdx] != 0 {
 		t.Errorf("unselected trail = %v, want 0 (clamped)", e.trail[0][swIdx])
 	}
 	// Worsening iteration: selected -ρ3, unselected +ρ4.
-	e.trailUpdate(res, false, nil)
-	if got := e.trail[0][hwIdx]; got != e.p.Rho1-e.p.Rho3 {
+	e.UpdateTrail(res.chosen, false, res.orderPos, nil)
+	if got := e.trail[0][hwIdx]; got != e.P.Rho1-e.P.Rho3 {
 		t.Errorf("selected trail after worsening = %v", got)
 	}
-	if got := e.trail[0][swIdx]; got != e.p.Rho4 {
+	if got := e.trail[0][swIdx]; got != e.P.Rho4 {
 		t.Errorf("unselected trail after worsening = %v", got)
 	}
 	// Order-moved-earlier penalty ρ5 applies to all options.
@@ -185,11 +181,11 @@ func TestTrailUpdateRules(t *testing.T) {
 	}
 	res.orderPos[0] = 2
 	before := [2]float64{e.trail[0][0], e.trail[0][1]}
-	e.trailUpdate(res, false, prev)
-	if e.trail[0][hwIdx] != max0(before[1]-e.p.Rho3-e.p.Rho5) {
+	e.UpdateTrail(res.chosen, false, res.orderPos, prev)
+	if e.trail[0][hwIdx] != max0(before[1]-e.P.Rho3-e.P.Rho5) {
 		t.Errorf("rho5 not applied to selected: %v", e.trail[0][hwIdx])
 	}
-	if e.trail[0][swIdx] != max0(before[0]+e.p.Rho4-e.p.Rho5) {
+	if e.trail[0][swIdx] != max0(before[0]+e.P.Rho4-e.P.Rho5) {
 		t.Errorf("rho5 not applied to unselected: %v", e.trail[0][swIdx])
 	}
 }
@@ -237,7 +233,7 @@ func TestMobilityWindow(t *testing.T) {
 		b.R(isa.OpAND, prog.T3, prog.T2, prog.A0)
 		b.R(isa.OpADD, prog.T4, prog.A2, prog.A3) // independent
 	})
-	e := newExplorer(t, d, machine.New(2, 6, 3))
+	e := testExplorer(t, d, machine.New(2, 6, 3), DefaultParams(), 1)
 	res := fakeWalk(e, nil, graph.NodeSetOf(d.Len(), 0, 1, 2, 3), 4)
 	e.refreshMobility()
 	if got := e.mobility(res, graph.NodeSetOf(d.Len(), 4)); got != 4 {

@@ -15,7 +15,7 @@ import (
 // allocate.
 func instrumentedIterate(tb testing.TB, tr *obs.Tracer, fl *obs.Flight) func() {
 	d := hotBenchDFG(tb, "crc32", "O3")
-	e := newExplorer(tb, d, machine.New(2, 4, 2))
+	e := testExplorer(tb, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	var prevOrder []int
 	tetOld := 1 << 30
 	round := 0
@@ -23,14 +23,14 @@ func instrumentedIterate(tb testing.TB, tr *obs.Tracer, fl *obs.Flight) func() {
 		sp := tr.Begin("round", 1).Arg("round", int64(round))
 		res := e.walk()
 		improved := res.tet <= tetOld
-		e.trailUpdate(res, improved, prevOrder)
+		e.UpdateTrail(res.chosen, improved, res.orderPos, prevOrder)
 		if improved {
 			tetOld = res.tet
 		}
 		e.meritUpdate(res)
 		prevOrder = append(prevOrder[:0], res.orderPos...)
 		sp.Arg("iters", int64(round)).End()
-		fl.Record(obs.FlightRound, 0, round, float64(res.tet), float64(len(e.fixed)))
+		fl.Record(obs.FlightRound, 0, round, float64(res.tet), float64(len(e.Fixed)))
 		round++
 	}
 }

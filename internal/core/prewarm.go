@@ -40,51 +40,54 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 // ise_explore_arena_grows_total); the payoff is that every later exploration
 // of a DFG within the bounds reslices warm memory and grows nothing — the
 // property TestScratchPrewarmPinsArenaGrows pins. The per-DFG table and
-// I/O-mark bindings are invalidated so the next initTables/countIn rebuilds
+// I/O-mark bindings are invalidated so the next Bind/InitTables/countIn rebuilds
 // row structure over the (possibly replaced) backing arrays; the rebuild is
 // pure reslicing once the arrays are warm.
 //
 //alloc:amortized prewarm pass; allocates only while arenas grow to the run's largest block
 func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
-	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
-	e.sp = growFloats(e.sp, n)
-	e.ioMark = growInts(e.ioMark, ioNeed)
-	e.unitOf = growInts(e.unitOf, n)
-	e.unitMark = growInts(e.unitMark, n)
-	e.unitIndeg0 = growInts(e.unitIndeg0, n)
-	e.wres.chosen = growInts(e.wres.chosen, n)
-	e.wres.orderPos = growInts(e.wres.orderPos, n)
-	e.wres.groupOf = growInts(e.wres.groupOf, n)
-	e.wres.depthNS = growFloats(e.wres.depthNS, n)
-	e.indeg = growInts(e.indeg, n)
-	e.doneCycle = growInts(e.doneCycle, n)
-	e.issueCycle = growInts(e.issueCycle, n)
-	e.issued = growBools(e.issued, n)
-	e.cFinalOf = growInts(e.cFinalOf, n)
-	e.cSuccStart = growInts(e.cSuccStart, n+1)
-	e.cPredStart = growInts(e.cPredStart, n+1)
-	e.cSuccs = growInts(e.cSuccs, edges)
-	e.cPreds = growInts(e.cPreds, edges)
-	e.cCurA = growInts(e.cCurA, n)
-	e.cCurB = growInts(e.cCurB, n)
-	e.cIndeg = growInts(e.cIndeg, n)
-	e.cOrder = growInts(e.cOrder, n)
-	e.cDown = growInts(e.cDown, n)
-	e.cUp = growInts(e.cUp, n)
-	e.asap = growInts(e.asap, n)
-	e.tail = growInts(e.tail, n)
-	e.depthF = growFloats(e.depthF, n)
-	e.depthI = growInts(e.depthI, n)
-	e.hwCycles = growInts(e.hwCycles, maxRow)
-	e.hwAreas = growFloats(e.hwAreas, maxRow)
-	e.spw = growFloats(e.spw, maxRow)
-	e.numSW = growInts(e.numSW, n)
-	e.trail = growRows(e.trail, n)
-	e.merit = growRows(e.merit, n)
-	e.trailBuf = growFloats(e.trailBuf, totalOpts)
-	e.meritBuf = growFloats(e.meritBuf, totalOpts)
+	e.fixedGroupOf = e.GrowInts(e.fixedGroupOf, n)
+	e.topoPos = e.GrowInts(e.topoPos, n)
+	e.sp = e.GrowFloats(e.sp, n)
+	e.ioMark = e.GrowInts(e.ioMark, ioNeed)
+	e.unitOf = e.GrowInts(e.unitOf, n)
+	e.unitMark = e.GrowInts(e.unitMark, n)
+	e.unitIndeg0 = e.GrowInts(e.unitIndeg0, n)
+	e.wres.chosen = e.GrowInts(e.wres.chosen, n)
+	e.wres.orderPos = e.GrowInts(e.wres.orderPos, n)
+	e.wres.groupOf = e.GrowInts(e.wres.groupOf, n)
+	e.wres.depthNS = e.GrowFloats(e.wres.depthNS, n)
+	e.indeg = e.GrowInts(e.indeg, n)
+	e.doneCycle = e.GrowInts(e.doneCycle, n)
+	e.issueCycle = e.GrowInts(e.issueCycle, n)
+	e.issued = e.growBools(e.issued, n)
+	e.cFinalOf = e.GrowInts(e.cFinalOf, n)
+	e.cSuccStart = e.GrowInts(e.cSuccStart, n+1)
+	e.cPredStart = e.GrowInts(e.cPredStart, n+1)
+	e.cSuccs = e.GrowInts(e.cSuccs, edges)
+	e.cPreds = e.GrowInts(e.cPreds, edges)
+	e.cCurA = e.GrowInts(e.cCurA, n)
+	e.cCurB = e.GrowInts(e.cCurB, n)
+	e.cIndeg = e.GrowInts(e.cIndeg, n)
+	e.cOrder = e.GrowInts(e.cOrder, n)
+	e.cDown = e.GrowInts(e.cDown, n)
+	e.cUp = e.GrowInts(e.cUp, n)
+	e.asap = e.GrowInts(e.asap, n)
+	e.tail = e.GrowInts(e.tail, n)
+	e.depthF = e.GrowFloats(e.depthF, n)
+	e.depthI = e.GrowInts(e.depthI, n)
+	e.hwCycles = e.GrowInts(e.hwCycles, maxRow)
+	e.hwAreas = e.GrowFloats(e.hwAreas, maxRow)
+	e.spw = e.GrowFloats(e.spw, maxRow)
+	e.numSW = e.GrowInts(e.numSW, n)
+	e.trail = e.growRows(e.trail, n)
+	e.merit = e.growRows(e.merit, n)
+	e.trailBuf = e.GrowFloats(e.trailBuf, totalOpts)
+	e.meritBuf = e.GrowFloats(e.meritBuf, totalOpts)
 	// The grown arrays carry unspecified content; unbind the per-DFG caches
-	// so the next exploration rebuilds row structure and mark sizing.
+	// so the next exploration rebuilds topological positions, row structure
+	// and mark sizing.
+	e.topoFor = nil
 	e.tablesFor = nil
 	e.ioMarkFor = nil
 }

@@ -38,21 +38,21 @@ func TestPriorityVectors(t *testing.T) {
 		b.R(isa.OpADD, prog.T2, prog.T1, prog.A0) // n2: tail
 		b.R(isa.OpADD, prog.T3, prog.A2, prog.A3) // n3: isolated
 	})
-	e := &explorer{d: d, p: FastParams(), sp: make([]float64, d.Len())}
+	e := testExplorer(t, d, machine.New(2, 4, 2), FastParams(), 1)
 
-	e.p.Priority = PriorityChildren
+	e.P.Priority = PriorityChildren
 	e.initPriority()
 	if !(e.sp[0] >= 1 && e.sp[2] == 0 && e.sp[3] == 0) {
 		t.Errorf("children SP = %v", e.sp)
 	}
 
-	e.p.Priority = PriorityHeight
+	e.P.Priority = PriorityHeight
 	e.initPriority()
 	if !(e.sp[0] > e.sp[1] && e.sp[1] > e.sp[2]) {
 		t.Errorf("height SP not decreasing along chain: %v", e.sp)
 	}
 
-	e.p.Priority = PriorityMobility
+	e.P.Priority = PriorityMobility
 	e.initPriority()
 	// All chain nodes lie on the 3-long critical path: SP = 3 each; the
 	// isolated node has SP 1.
@@ -85,8 +85,8 @@ func TestPriorityVariantsOnRandomDFGs(t *testing.T) {
 
 func TestUnknownPriorityPanics(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 3) })
-	e := &explorer{d: d, p: FastParams(), sp: make([]float64, d.Len())}
-	e.p.Priority = Priority(99)
+	e := testExplorer(t, d, machine.New(2, 4, 2), FastParams(), 1)
+	e.P.Priority = Priority(99)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on unknown priority")

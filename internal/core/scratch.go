@@ -107,7 +107,7 @@ func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
 func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.pool.New = func() any {
-		return &WorkerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
+		return &WorkerScratch{kern: sched.NewScheduler(), exp: newExplorer()}
 	}
 	s.pool.Reused = obsScratchReused
 	s.pool.Fresh = obsScratchFresh

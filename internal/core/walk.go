@@ -11,18 +11,19 @@ import (
 	"repro/internal/sched"
 )
 
-// explorer carries the per-DFG exploration state across rounds and
-// iterations. One explorer is owned by one exploration worker and reused
-// across the restarts that worker runs (reset puts it back to a fresh
-// restart's state): all the `arena:` annotated fields below are scratch
-// recycled every iteration, so steady-state ant construction and merit
-// sweeps allocate nothing (DESIGN.md §13, TestExploreSteadyStateAllocs).
+// explorer is the multiple-issue engine: the shared Colony plus what makes
+// the search location-aware — ant walks that schedule every option draw,
+// the critical path and Max_AEC slack of merit cases 1 and 4, and candidate
+// pricing by rescheduling. One explorer is owned by one exploration worker
+// and reused across the restarts that worker runs (reset puts it back to a
+// fresh restart's state): all the `arena:` annotated fields below are
+// scratch recycled every iteration, so steady-state ant construction and
+// merit sweeps allocate nothing (DESIGN.md §13, TestExploreSteadyStateAllocs).
 // Reuse is pure scratch — which worker runs which restart never affects the
 // restart's result.
 type explorer struct {
-	d   *dfg.DFG
-	cfg machine.Config
-	p   Params
+	Colony
+
 	rng *rand.Rand
 	// rngSrc counts rng's draws so a checkpoint can record the stream
 	// position and a resumed restart can skip back to it (see
@@ -41,36 +42,16 @@ type explorer struct {
 	// until the next assignmentWith call.
 	evalAssign sched.Assignment
 
-	// fixed are ISEs accepted in earlier rounds; their members no longer
-	// make choices.
-	fixed        []*ISE
-	fixedGroupOf []int // node -> index into fixed, or -1
+	sp []float64 // scheduling priority per node
 
-	// Option tables for free nodes. Options are indexed software first
-	// (numSW of them), hardware after. The rows slice two flat backing
-	// arrays sized once per DFG; initTables re-seeds the values each round.
-	trail [][]float64
-	merit [][]float64
-	numSW []int
-	sp    []float64 // scheduling priority per node (child count)
-	// trailBuf and meritBuf back every trail/merit row. arena: resliced by
-	// initTables, owned by the rows for the explorer's lifetime.
-	trailBuf, meritBuf []float64
-	tablesFor          *dfg.DFG // DFG the table structure was built for
+	// asap/tail are per-iteration unit-latency longest-path arrays reused
+	// by the mobility computation.
+	asap []int
+	tail []int
 
-	// topo caches the DFG's topological order and topoPos each node's
-	// position in it; asap/tail are per-iteration unit-latency longest-path
-	// arrays reused by the merit computation.
-	topo    []int
-	topoPos []int
-	asap    []int
-	tail    []int
-
-	// depthF and depthI are scratch longest-path arrays for the
-	// subgraph-metric hot paths (vsMetrics, swDepth). Entries are written
-	// before they are read in topological order, so no reset is needed
-	// between calls. Each restart owns its explorer, keeping them race-free.
-	depthF []float64
+	// depthI is swDepth's longest-path scratch. Entries are written before
+	// they are read in topological order, so no reset is needed between
+	// calls.
 	depthI []int
 
 	// Unit contraction of the accepted ISEs, rebuilt whenever the fixed set
@@ -80,7 +61,7 @@ type explorer struct {
 	// exact first-encounter order walk's retire loop visits them, so the
 	// ready list grows in the same order the per-walk edge consumption used
 	// to produce. unitIndeg0 holds the initial unit indegrees.
-	unitFixedN    int   // len(fixed) the unit arena was built for; -1 forces a rebuild
+	unitFixedN    int   // len(Fixed) the unit arena was built for; -1 forces a rebuild
 	unitStart     []int // arena: rebuilt when the fixed set changes
 	unitMembers   []int // arena: flat unit-member storage
 	unitOf        []int // arena: node -> unit
@@ -118,158 +99,33 @@ type explorer struct {
 	cDown      []int // arena: downward longest path
 	cUp        []int // arena: upward longest path
 
-	// IN/OUT counting scratch: ioMark era-stamps dedup keys (producer node
-	// id, or Len()+register for live-ins), ioMembers holds the queried set's
-	// members. Replaces dfg.In/Out's per-call map on the packing hot path.
-	ioMark    []int // arena: era-stamped operand dedup marks
-	ioMembers []int // arena: member extraction buffer
-	ioEra     int
-	ioMarkFor *dfg.DFG // DFG ioMark was sized for
-
 	// Merit-sweep scratch. arena: reused for every node's hardware shaping.
 	vsSet      graph.NodeSet // arena: virtualSubgraph's result set
 	vsStack    []int         // arena: virtualSubgraph's DFS stack
-	vsMembers  []int         // arena: membersInTopoOrder's result
 	mobMembers []int         // arena: mobility's member extraction buffer
-	hwCycles   []int         // arena: per-option subgraph cycles
-	hwAreas    []float64     // arena: per-option subgraph areas
-	spw        []float64     // arena: spWeights' result
-	convex     graph.Scratch // reusable convexity-check traversal buffers
+}
+
+// newExplorer returns an empty explorer whose arena growth is counted on
+// ise_explore_arena_grows_total.
+func newExplorer() *explorer {
+	return &explorer{Colony: Colony{Grows: obsExploreArenaGrows}}
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
 // warmed arena. Restart-scoped state (accepted ISEs, priorities, unit
 // contraction) is reinitialized; per-iteration scratch needs none — each use
 // fully overwrites it.
-func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) {
-	if e.d != d {
-		e.topo, e.topoPos = nil, nil
-		e.tablesFor = nil
-		e.ioMarkFor = nil
+func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) error {
+	if err := e.Bind(d, cfg, p); err != nil {
+		return err
 	}
-	e.d, e.cfg, e.p = d, cfg, p
 	e.rng, e.rngSrc = rng, rngSrc
 	e.cache, e.kern = cache, kern
 	e.tr, e.tid = tr, tid
-	e.fixed = e.fixed[:0]
-	n := d.Len()
-	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.sp = growFloats(e.sp, n)
+	e.sp = e.GrowFloats(e.sp, d.Len())
 	e.unitFixedN = -1
 	e.initPriority()
-}
-
-// topoOrder returns the cached topological order of the DFG.
-//
-//alloc:amortized computes and caches the topo order on first use; every later call returns the cache
-func (e *explorer) topoOrder() []int {
-	if e.topo == nil {
-		order, err := e.d.G.TopoOrder()
-		if err != nil {
-			panic("core: cyclic DFG " + e.d.Name)
-		}
-		e.topo = order
-		e.topoPos = make([]int, len(order))
-		for i, v := range order {
-			e.topoPos[v] = i
-		}
-	}
-	return e.topo
-}
-
-// membersInTopoOrder returns the members of vs sorted by topological
-// position, so subgraph longest-path sweeps touch |vs| nodes instead of
-// rescanning the whole DFG. The result aliases the explorer's arena and is
-// valid until the next call.
-func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	e.topoOrder()
-	members := vs.AppendValues(e.vsMembers[:0])
-	// Insertion sort by (unique) topological position: members are already
-	// nearly sorted (node ids follow program order) and small, and unlike
-	// sort.Slice this allocates nothing.
-	for i := 1; i < len(members); i++ {
-		v := members[i]
-		j := i - 1
-		for j >= 0 && e.topoPos[members[j]] > e.topoPos[v] {
-			members[j+1] = members[j]
-			j--
-		}
-		members[j+1] = v
-	}
-	e.vsMembers = members
-	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
-	return members
-}
-
-// countIn is dfg.In without the per-call map: the number of distinct
-// register values s consumes from outside itself, deduplicated with
-// era-stamped marks (external producers by node id, live-in operands by
-// register).
-func (e *explorer) countIn(s graph.NodeSet) int {
-	d := e.d
-	n := d.Len()
-	if e.ioMarkFor != d {
-		need := n
-		for i := range d.Nodes {
-			for _, src := range d.Nodes[i].Inputs {
-				if src.Producer < 0 && n+int(src.Reg) >= need {
-					need = n + int(src.Reg) + 1
-				}
-			}
-		}
-		// Stale marks hold earlier eras and never collide: ioEra only grows.
-		e.ioMark = growInts(e.ioMark, need)
-		e.ioMarkFor = d
-	}
-	e.ioEra++
-	era := e.ioEra
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	in := 0
-	for _, id := range members {
-		for _, src := range d.Nodes[id].Inputs {
-			if src.Producer >= 0 && s.Contains(src.Producer) {
-				continue // internal value
-			}
-			idx := n + int(src.Reg)
-			if src.Producer >= 0 {
-				idx = src.Producer // identified by producer alone
-			}
-			if e.ioMark[idx] != era {
-				e.ioMark[idx] = era
-				in++
-			}
-		}
-	}
-	return in
-}
-
-// countOut is dfg.Out without the member-slice allocation: the number of
-// nodes in s whose value escapes s.
-func (e *explorer) countOut(s graph.NodeSet) int {
-	d := e.d
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	out := 0
-	for _, id := range members {
-		node := d.Nodes[id]
-		escapes := node.LiveOut
-		if !escapes {
-			for _, succ := range node.DataSuccs {
-				if !s.Contains(succ) {
-					escapes = true
-					break
-				}
-			}
-		}
-		if escapes {
-			out++
-		}
-	}
-	return out
+	return nil
 }
 
 // walkGroup is an ISE instruction formed during one iteration's ant walk.
@@ -298,12 +154,9 @@ type walkResult struct {
 	depthNS  []float64 // combinational depth of each HW node within its group
 }
 
-// isHWOption reports whether option index o of node x selects hardware.
-func (e *explorer) isHWOption(x, o int) bool { return o >= e.numSW[x] }
-
 // hwDelay returns the delay of hardware option o (global index) of node x.
 func (e *explorer) hwDelay(x, o int) float64 {
-	return e.d.Nodes[x].HW[o-e.numSW[x]].DelayNS
+	return e.D.Nodes[x].HW[o-e.numSW[x]].DelayNS
 }
 
 // ensureUnits (re)builds the contraction of the DFG into schedulable units —
@@ -311,20 +164,20 @@ func (e *explorer) hwDelay(x, o int) float64 {
 // successor CSR walk's retire loop consumes. Units only change when an ISE
 // is accepted, so this runs once per round, not per iteration.
 func (e *explorer) ensureUnits() {
-	d := e.d
+	d := e.D
 	n := d.Len()
-	if e.unitFixedN == len(e.fixed) && len(e.unitStart) > 0 && len(e.unitOf) == n {
+	if e.unitFixedN == len(e.Fixed) && len(e.unitStart) > 0 && len(e.unitOf) == n {
 		return
 	}
-	e.unitFixedN = len(e.fixed)
-	e.unitOf = growInts(e.unitOf, n)
+	e.unitFixedN = len(e.Fixed)
+	e.unitOf = e.GrowInts(e.unitOf, n)
 	for i := range e.unitOf {
 		e.unitOf[i] = -1
 	}
 	starts := e.unitStart[:0]
 	mem := e.unitMembers[:0]
 	nu := 0
-	for _, f := range e.fixed {
+	for _, f := range e.Fixed {
 		starts = append(starts, len(mem))
 		mem = f.Nodes.AppendValues(mem)
 		for _, v := range mem[starts[nu]:] {
@@ -348,8 +201,8 @@ func (e *explorer) ensureUnits() {
 	// consuming this list once per retired unit reproduces the edge-set
 	// bookkeeping the per-walk map used to do, with identical ready-list
 	// growth order — the order the deterministic random stream depends on.
-	e.unitMark = growInts(e.unitMark, nu)
-	e.unitIndeg0 = growInts(e.unitIndeg0, nu)
+	e.unitMark = e.GrowInts(e.unitMark, nu)
+	e.unitIndeg0 = e.GrowInts(e.unitIndeg0, nu)
 	for u := 0; u < nu; u++ {
 		e.unitIndeg0[u] = 0
 	}
@@ -386,7 +239,7 @@ func (e *explorer) appendGroup(res *walkResult) *walkGroup {
 	}
 	g := &res.groups[gi]
 	g.index = gi
-	g.nodes.Reset(e.d.Len())
+	g.nodes.Reset(e.D.Len())
 	g.cycle, g.lat, g.reads, g.writes, g.delayNS = 0, 0, 0, 0, 0
 	return g
 }
@@ -399,17 +252,17 @@ func (e *explorer) appendGroup(res *walkResult) *walkGroup {
 //
 //alloc:free
 func (e *explorer) walk() *walkResult {
-	d := e.d
+	d := e.D
 	n := d.Len()
 	e.ensureUnits()
 	nu := len(e.unitStart) - 1
 
 	res := &e.wres
 	res.tet = 0
-	res.chosen = growInts(res.chosen, n)
-	res.orderPos = growInts(res.orderPos, n)
-	res.groupOf = growInts(res.groupOf, n)
-	res.depthNS = growFloats(res.depthNS, n)
+	res.chosen = e.GrowInts(res.chosen, n)
+	res.orderPos = e.GrowInts(res.orderPos, n)
+	res.groupOf = e.GrowInts(res.groupOf, n)
+	res.depthNS = e.GrowFloats(res.depthNS, n)
 	for i := 0; i < n; i++ {
 		res.chosen[i] = -1
 		res.orderPos[i] = 0
@@ -419,24 +272,24 @@ func (e *explorer) walk() *walkResult {
 	res.groups = res.groups[:0]
 
 	if e.table == nil {
-		e.table = sched.NewTable(e.cfg)
+		e.table = sched.NewTable(e.Cfg)
 	} else {
-		e.table.Reuse(e.cfg)
+		e.table.Reuse(e.Cfg)
 	}
 	table := e.table
 
 	// Unit dependence counts.
-	e.indeg = growInts(e.indeg, nu)
+	e.indeg = e.GrowInts(e.indeg, nu)
 	copy(e.indeg, e.unitIndeg0)
 	indeg := e.indeg
 
-	e.doneCycle = growInts(e.doneCycle, n) // completion cycle, 0 = unscheduled
-	e.issueCycle = growInts(e.issueCycle, n)
+	e.doneCycle = e.GrowInts(e.doneCycle, n) // completion cycle, 0 = unscheduled
+	e.issueCycle = e.GrowInts(e.issueCycle, n)
 	for i := 0; i < n; i++ {
 		e.doneCycle[i], e.issueCycle[i] = 0, 0
 	}
 	doneCycle, issueCycle := e.doneCycle, e.issueCycle
-	e.issued = growBools(e.issued, nu)
+	e.issued = e.growBools(e.issued, nu)
 	issued := e.issued
 	for u := 0; u < nu; u++ {
 		issued[u] = false
@@ -454,22 +307,22 @@ func (e *explorer) walk() *walkResult {
 		entU, entO, weights := e.entUnit[:0], e.entOpt[:0], e.entW[:0]
 		for _, u := range ready {
 			um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
-			if len(um) > 1 || e.fixedGroupOf[um[0]] >= 0 {
+			if len(um) > 1 || !e.Free(um[0]) {
 				// Fixed ISE pseudo-operation: single implied option.
 				entU, entO = append(entU, u), append(entO, -1)
-				weights = append(weights, e.p.InitMeritHW)
+				weights = append(weights, e.P.InitMeritHW)
 				continue
 			}
 			x := um[0]
 			for o := range e.trail[x] {
-				w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
+				w := e.P.Alpha*e.trail[x][o] + (1-e.P.Alpha)*e.merit[x][o] + e.P.Lambda*e.sp[x]
 				entU, entO = append(entU, u), append(entO, o)
 				weights = append(weights, w)
 			}
 		}
 		e.entUnit, e.entOpt, e.entW = entU, entO, weights
 		var pickIdx int
-		if e.p.Greedy {
+		if e.P.Greedy {
 			for i := 1; i < len(weights); i++ {
 				if weights[i] > weights[pickIdx] {
 					pickIdx = i
@@ -498,7 +351,7 @@ func (e *explorer) walk() *walkResult {
 		switch {
 		case pickOpt < 0:
 			// Fixed ISE group.
-			f := e.fixed[e.fixedGroupOf[um[0]]]
+			f := e.Fixed[e.fixedGroupOf[um[0]]]
 			cts := lts + 1
 			for !table.FitsNewISE(cts, f.Cycles, f.In, f.Out) {
 				cts++
@@ -509,7 +362,7 @@ func (e *explorer) walk() *walkResult {
 				doneCycle[x] = cts + f.Cycles - 1
 				res.orderPos[x] = pos
 			}
-		case !e.isHWOption(um[0], pickOpt):
+		case !e.IsHWOption(um[0], pickOpt):
 			// Software Operation-Scheduling (Fig. 4.3.3).
 			x := um[0]
 			class := d.Nodes[x].SW[pickOpt].Class
@@ -600,7 +453,7 @@ func (e *explorer) scheduleHW(res *walkResult, table *sched.Table, x, opt, lts, 
 // set is interchangeable with the pre-grown one for every membership test
 // below.
 func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x, opt int, delay float64, c int, doneCycle, issueCycle []int) bool {
-	d := e.d
+	d := e.D
 	// Every external operand of x must be available before c.
 	for _, p := range d.G.Preds(x) {
 		if g.nodes.Contains(p) {
@@ -623,7 +476,7 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 		newDelay = depth
 	}
 	newLat := sched.CyclesForDelay(newDelay)
-	if e.p.MaxISECycles > 0 && newLat > e.p.MaxISECycles {
+	if e.P.MaxISECycles > 0 && newLat > e.P.MaxISECycles {
 		return false
 	}
 	g.nodes.Add(x)
@@ -672,11 +525,11 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 // bookkeeping counts them consistently and the longest-path sweeps take
 // maxima, so deduplication would only cost time.
 func (e *explorer) criticalNodes(res *walkResult) {
-	d := e.d
+	d := e.D
 	n := d.Len()
 	// Final contraction: iteration groups override the unit view for free
 	// HW nodes.
-	e.cFinalOf = growInts(e.cFinalOf, n)
+	e.cFinalOf = e.GrowInts(e.cFinalOf, n)
 	finalOf := e.cFinalOf
 	for i := range finalOf {
 		finalOf[i] = -1
@@ -691,7 +544,7 @@ func (e *explorer) criticalNodes(res *walkResult) {
 		}
 		lats = append(lats, g.lat)
 	}
-	for _, f := range e.fixed {
+	for _, f := range e.Fixed {
 		members := f.Nodes.AppendValues(e.ioMembers[:0])
 		e.ioMembers = members
 		for _, v := range members {
@@ -702,7 +555,7 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	for i := 0; i < n; i++ {
 		if finalOf[i] < 0 {
 			lat := 1
-			if res.chosen[i] >= 0 && !e.isHWOption(i, res.chosen[i]) {
+			if res.chosen[i] >= 0 && !e.IsHWOption(i, res.chosen[i]) {
 				lat = d.Nodes[i].SW[res.chosen[i]].Cycles
 			}
 			finalOf[i] = len(lats)
@@ -713,8 +566,8 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	nu := len(lats)
 
 	// Contracted edge CSR (with duplicates), built by counting sort.
-	e.cSuccStart = growInts(e.cSuccStart, nu+1)
-	e.cPredStart = growInts(e.cPredStart, nu+1)
+	e.cSuccStart = e.GrowInts(e.cSuccStart, nu+1)
+	e.cPredStart = e.GrowInts(e.cPredStart, nu+1)
 	sStart, pStart := e.cSuccStart, e.cPredStart
 	for i := 0; i <= nu; i++ {
 		sStart[i], pStart[i] = 0, 0
@@ -734,11 +587,11 @@ func (e *explorer) criticalNodes(res *walkResult) {
 		sStart[i+1] += sStart[i]
 		pStart[i+1] += pStart[i]
 	}
-	e.cSuccs = growInts(e.cSuccs, total)
-	e.cPreds = growInts(e.cPreds, total)
+	e.cSuccs = e.GrowInts(e.cSuccs, total)
+	e.cPreds = e.GrowInts(e.cPreds, total)
 	succs, preds := e.cSuccs, e.cPreds
-	e.cCurA = growInts(e.cCurA, nu)
-	e.cCurB = growInts(e.cCurB, nu)
+	e.cCurA = e.GrowInts(e.cCurA, nu)
+	e.cCurB = e.GrowInts(e.cCurB, nu)
 	curA, curB := e.cCurA, e.cCurB
 	copy(curA, sStart[:nu])
 	copy(curB, pStart[:nu])
@@ -755,8 +608,8 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	}
 
 	// FIFO topological order over the contraction.
-	e.cIndeg = growInts(e.cIndeg, nu)
-	e.cOrder = growInts(e.cOrder, nu)
+	e.cIndeg = e.GrowInts(e.cIndeg, nu)
+	e.cOrder = e.GrowInts(e.cOrder, nu)
 	indeg, order := e.cIndeg, e.cOrder
 	qt := 0
 	for m := 0; m < nu; m++ {
@@ -777,8 +630,8 @@ func (e *explorer) criticalNodes(res *walkResult) {
 		}
 	}
 
-	e.cDown = growInts(e.cDown, nu)
-	e.cUp = growInts(e.cUp, nu)
+	e.cDown = e.GrowInts(e.cDown, nu)
+	e.cUp = e.GrowInts(e.cUp, nu)
 	down, up := e.cDown, e.cUp
 	best := 0
 	for i := 0; i < nu; i++ {

@@ -16,7 +16,7 @@ import (
 func forceHW(e *explorer) {
 	for x := range e.merit {
 		for o := range e.merit[x] {
-			if e.isHWOption(x, o) && o == e.numSW[x] {
+			if e.IsHWOption(x, o) && o == e.numSW[x] {
 				e.trail[x][o] = 1e9
 			} else {
 				e.trail[x][o] = 0
@@ -35,7 +35,7 @@ func TestWalkPacksChainIntoOneISE(t *testing.T) {
 		b.R(isa.OpOR, prog.T1, prog.T0, prog.A0)
 		b.R(isa.OpAND, prog.T2, prog.T1, prog.A1)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	forceHW(e)
 	res := e.walk()
 	if res.groupOf[0] < 0 || res.groupOf[0] != res.groupOf[1] || res.groupOf[1] != res.groupOf[2] {
@@ -60,8 +60,8 @@ func TestWalkSplitsAtPipestage(t *testing.T) {
 		b.R(isa.OpXOR, prog.T0, prog.T0, prog.A1)
 		b.R(isa.OpXOR, prog.T0, prog.T0, prog.A1)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
-	e.p.MaxISECycles = 1
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
+	e.P.MaxISECycles = 1
 	forceHW(e)
 	res := e.walk()
 	if len(res.groups) < 2 {
@@ -88,7 +88,7 @@ func TestWalkPortLimitForcesNewGroup(t *testing.T) {
 		b.R(isa.OpADD, prog.V0, prog.T4, prog.T5)
 	})
 	cfg := machine.New(2, 4, 2)
-	e := newExplorer(t, d, cfg)
+	e := testExplorer(t, d, cfg, DefaultParams(), 1)
 	forceHW(e)
 	res := e.walk()
 	for gi, g := range res.groups {
@@ -106,11 +106,9 @@ func TestWalkSchedulesFixedISEAsUnit(t *testing.T) {
 		b.R(isa.OpOR, prog.T1, prog.T0, prog.A0)
 		b.R(isa.OpXOR, prog.T2, prog.T1, prog.A1)
 	})
-	e := newExplorer(t, d, machine.New(2, 4, 2))
+	e := testExplorer(t, d, machine.New(2, 4, 2), DefaultParams(), 1)
 	fixedSet := graph.NodeSetOf(d.Len(), 0, 1)
-	e.fixed = append(e.fixed, NewISE(d, fixedSet, map[int]int{}))
-	e.fixedGroupOf[0] = 0
-	e.fixedGroupOf[1] = 0
+	e.Accept(NewISE(d, fixedSet, map[int]int{}))
 	for trial := 0; trial < 10; trial++ {
 		res := e.walk()
 		if res.chosen[0] != -1 || res.chosen[1] != -1 {
@@ -129,7 +127,7 @@ func TestWalkTETAtLeastListSchedule(t *testing.T) {
 	// The walk is an incremental greedy scheduler; it can never beat a
 	// latency bound that ListSchedule also respects: the dependence depth.
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 7) })
-	e := newExplorer(t, d, machine.New(2, 6, 3))
+	e := testExplorer(t, d, machine.New(2, 6, 3), DefaultParams(), 1)
 	for trial := 0; trial < 25; trial++ {
 		res := e.walk()
 		if res.tet < 1 {
