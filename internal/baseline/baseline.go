@@ -96,6 +96,9 @@ func (s *Scratch) release(ws *workerScratch) { s.pool.Put(ws) }
 // (per-exploration reuse only). Scratch is pure scratch: results are
 // byte-identical with or without it, at any worker count.
 func ExploreSharedCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params, scr *Scratch) (*core.Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

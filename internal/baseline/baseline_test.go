@@ -103,6 +103,11 @@ func TestBaselineEmptyDFGAndBadMachine(t *testing.T) {
 	if _, err := ExploreSharedCtx(t.Context(), good, bad, core.FastParams(), nil); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
+	p := core.FastParams()
+	p.Priority = 9
+	if _, err := ExploreSharedCtx(t.Context(), good, machine.New(2, 4, 2), p, nil); err == nil {
+		t.Fatal("invalid params accepted")
+	}
 }
 
 // TestLocationAwareBeatsLegalityOnly reproduces the paper's central claim

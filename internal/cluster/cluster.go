@@ -116,8 +116,8 @@ func (w Workload) Validate() error {
 	if err := w.MachineConfig().Validate(); err != nil {
 		return err
 	}
-	if w.Params.Restarts < 0 || w.Params.MaxRounds < 0 || w.Params.MaxIterations < 0 {
-		return fmt.Errorf("cluster: params counts must be >= 0")
+	if err := w.Params.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }

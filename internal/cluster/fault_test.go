@@ -219,3 +219,21 @@ func TestLeaseOwnership(t *testing.T) {
 		t.Fatalf("post-completion heartbeat: %v, want ErrGone", err)
 	}
 }
+
+// TestWorkloadValidateRejectsBadParams: a fleet worker validates the
+// exploration parameters of a workload before it builds or explores
+// anything, so a bad spec fails the shard instead of panicking the worker.
+func TestWorkloadValidateRejectsBadParams(t *testing.T) {
+	if err := testWorkload(2, 1).Validate(); err != nil {
+		t.Fatalf("good workload rejected: %v", err)
+	}
+	w := testWorkload(2, 1)
+	w.Params.Priority = 9
+	if err := w.Validate(); err == nil {
+		t.Fatal("unknown priority accepted")
+	}
+	w = testWorkload(core.MaxRestarts+1, 1)
+	if err := w.Validate(); err == nil {
+		t.Fatal("restarts above the limit accepted")
+	}
+}

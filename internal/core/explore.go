@@ -150,6 +150,9 @@ func ExploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 		}
 		p = snap.Params
 	}
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}

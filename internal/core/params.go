@@ -6,6 +6,8 @@
 // decisions so that only critical-path operations are packed into ISEs.
 package core
 
+import "fmt"
+
 // Priority selects the scheduling-priority (SP) function used in the chosen
 // probability (Eq. 1). The paper uses the number of child operations and
 // names alternatives — e.g. operation mobility — as future work (§6).
@@ -104,6 +106,39 @@ type Params struct {
 	// measurement switch for benchmarking the cache's contribution, not an
 	// algorithm ablation: cached and uncached runs return identical results.
 	NoEvalCache bool
+}
+
+// MaxRestarts bounds Params.Restarts. Every restart owns a result slot and
+// a checkpoint entry, so the bound keeps an untrusted job spec from sizing
+// memory; it sits far above useful effort (the paper runs 5).
+const MaxRestarts = 1024
+
+// Validate reports the first parameter no exploration can run with: an
+// unknown Priority, a negative iteration, round, restart or pipestage
+// count, more than MaxRestarts restarts, or an Alpha or PEnd that is not a
+// number in [0, 1]. Both exploration engines call it before any work
+// starts, and so do the fleet and service layers before accepting a job.
+func (p Params) Validate() error {
+	switch p.Priority {
+	case PriorityChildren, PriorityHeight, PriorityMobility:
+	default:
+		return fmt.Errorf("core: unknown priority %d", p.Priority)
+	}
+	if p.MaxIterations < 0 || p.MaxRounds < 0 || p.Restarts < 0 || p.MaxISECycles < 0 {
+		return fmt.Errorf("core: params counts must be >= 0")
+	}
+	if p.Restarts > MaxRestarts {
+		return fmt.Errorf("core: %d restarts exceed the limit of %d", p.Restarts, MaxRestarts)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Alpha", p.Alpha}, {"PEnd", p.PEnd}} {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
+			return fmt.Errorf("core: %s must be in [0, 1], got %v", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // DefaultParams returns the paper's parameter set.

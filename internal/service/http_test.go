@@ -184,6 +184,34 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsBadParams: exploration parameters no engine can run with
+// are a 400 at submission, and the daemon keeps serving afterwards. An
+// unknown Priority used to reach the runner goroutine and panic the whole
+// process; a huge Restarts sized a result slice from untrusted input.
+func TestHTTPRejectsBadParams(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Runners: 1})
+	for _, set := range []func(*core.Params){
+		func(p *core.Params) { p.Priority = 9 },
+		func(p *core.Params) { p.Restarts = core.MaxRestarts + 1 },
+		func(p *core.Params) { p.Restarts = 1 << 40 },
+	} {
+		spec := testSpec(1)
+		p := *spec.Params
+		set(&p)
+		spec.Params = &p
+		if _, resp := postJob(t, srv, spec); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad params %+v: status %d, want 400", p, resp.StatusCode)
+		}
+	}
+	st, resp := postJob(t, srv, testSpec(1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good job after bad ones: status %d, want 202", resp.StatusCode)
+	}
+	if final := waitDoneHTTP(t, srv, st.ID); len(final.Blocks) != 1 {
+		t.Fatalf("good job after bad ones: %+v", final.Blocks)
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	srv, m := newTestServer(t, Config{Runners: 1, QueueSize: 1})
 	heavy := testSpec(1)

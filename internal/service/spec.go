@@ -72,31 +72,21 @@ type DistributedSpec struct {
 
 const maxProgramBytes = 1 << 20
 
+// validate checks what only a service job has — program size, deadline and
+// shard count — and leaves the workload itself (kernel selection, hot-block
+// count, machine, exploration parameters) to cluster.Workload.Validate, the
+// same check every fleet worker applies.
 func (s *JobSpec) validate() error {
-	if (s.Bench == "") == (s.Program == "") {
-		return fmt.Errorf("exactly one of bench and program must be set")
-	}
 	if len(s.Program) > maxProgramBytes {
 		return fmt.Errorf("program source exceeds %d bytes", maxProgramBytes)
-	}
-	if s.Hot < 0 {
-		return fmt.Errorf("hot must be >= 0, got %d", s.Hot)
 	}
 	if s.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms must be >= 0, got %d", s.DeadlineMS)
 	}
-	if err := s.machineConfig().Validate(); err != nil {
-		return err
-	}
-	if p := s.Params; p != nil {
-		if p.Restarts < 0 || p.MaxRounds < 0 || p.MaxIterations < 0 {
-			return fmt.Errorf("params counts must be >= 0")
-		}
-	}
 	if d := s.Distributed; d != nil && d.Shards < 0 {
 		return fmt.Errorf("distributed.shards must be >= 0, got %d", d.Shards)
 	}
-	return nil
+	return s.workload().Validate()
 }
 
 func (s *JobSpec) machineConfig() machine.Config {
@@ -108,20 +98,6 @@ func (s *JobSpec) params() core.Params {
 		return *s.Params
 	}
 	return core.DefaultParams()
-}
-
-func (s *JobSpec) hot() int {
-	if s.Hot <= 0 {
-		return 1
-	}
-	return s.Hot
-}
-
-func (s *JobSpec) optLevel() string {
-	if s.OptLevel == "" {
-		return "O3"
-	}
-	return s.OptLevel
 }
 
 func (s *JobSpec) deadline(def time.Duration) time.Duration {
