@@ -1,4 +1,4 @@
-.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile perfbench-check fuzz-match
+.PHONY: tier1 race golden-full lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile perfbench-check fuzz-match
 
 # Tier 1: the fast correctness gate.
 tier1:
@@ -31,9 +31,10 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-# Tier 2: lint + vet + race detector across every package (slower; run
-# before merging anything that touches internal/parallel, core, or flow).
-race: lint
+# Tier 2: lint + the paper-output golden + vet + race detector across every
+# package (slower; run before merging anything that touches
+# internal/parallel, core, or flow).
+race: lint golden-full
 	go vet ./...
 	go test -race ./...
 
@@ -99,3 +100,18 @@ cluster-smoke:
 profile:
 	go run ./cmd/isebench -headline -fast -cpuprofile /tmp/ise-cpu.out
 	go tool pprof -top -nodecount=10 /tmp/ise-cpu.out
+
+# Pin the paper's outputs: regenerate every table and figure and compare
+# them with the committed results_full.txt and figs/*.svg. Only the lines
+# naming where the SVGs were written and the wall time may differ; the SVGs
+# must match byte for byte.
+golden-full:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go run ./cmd/isebench -all -stats -svg "$$tmp" > "$$tmp/out.txt" || exit 1; \
+	grep -v -e '^wrote .*\.svg$$' -e '^done in ' results_full.txt > "$$tmp/want.txt"; \
+	grep -v -e '^wrote .*\.svg$$' -e '^done in ' "$$tmp/out.txt" > "$$tmp/got.txt"; \
+	diff -u "$$tmp/want.txt" "$$tmp/got.txt" || { echo "isebench -all output differs from results_full.txt"; exit 1; }; \
+	for f in fig16.svg fig17.svg fig18.svg; do \
+		cmp "figs/$$f" "$$tmp/$$f" || { echo "$$f differs from figs/$$f"; exit 1; }; \
+	done; \
+	echo "golden-full: results_full.txt and figs/*.svg reproduced"

@@ -1,8 +1,9 @@
 // Package aco supplies the ant-colony-optimization primitives shared by the
 // ISE exploration algorithms: deterministic seeded randomness, roulette-wheel
 // selection over non-negative weights, and weight normalization. The
-// problem-specific pheromone (trail) update and merit functions live with the
-// algorithms that define them.
+// problem-specific machinery — trail/merit tables, the Fig. 4.3.5 trail
+// update, the P_END test and the shared merit cases — is core.Colony, which
+// both ISE explorers (core and baseline) embed.
 package aco
 
 import "math/rand"

@@ -83,6 +83,7 @@ type Colony struct {
 	hwCycles  []int         // arena: per-option subgraph cycles
 	hwAreas   []float64     // arena: per-option subgraph areas
 	spw       []float64     // arena: Weights' result
+	cands     []*ISE        // arena: Candidates' result
 	convex    graph.Scratch // reusable convexity-check traversal buffers
 }
 
@@ -475,7 +476,8 @@ func (c *Colony) countOut(s graph.NodeSet) int {
 // connected parts; every part of at least two members — a single operation
 // cannot beat its one-cycle software form — becomes a candidate. Candidates
 // come in a fixed order; pricing them is the engine's business. Candidates
-// runs once per round, off the zero-allocation contract.
+// runs once per round, off the zero-allocation contract. The result
+// aliases the colony's arena and is valid until the next call.
 func (c *Colony) Candidates() []*ISE {
 	d := c.D
 	taken := graph.NewNodeSet(d.Len())
@@ -493,7 +495,7 @@ func (c *Colony) Candidates() []*ISE {
 	if taken.Empty() {
 		return nil
 	}
-	var out []*ISE
+	out := c.cands[:0]
 	for _, comp := range d.G.ConnectedComponents(taken) {
 		for _, convex := range MakeConvex(d, comp) {
 			feasible := TrimPorts(d, convex, c.Cfg.ReadPorts, c.Cfg.WritePorts)
@@ -506,5 +508,6 @@ func (c *Colony) Candidates() []*ISE {
 			}
 		}
 	}
+	c.cands = out
 	return out
 }

@@ -130,13 +130,12 @@ func (p Params) Validate() error {
 	if p.Restarts > MaxRestarts {
 		return fmt.Errorf("core: %d restarts exceed the limit of %d", p.Restarts, MaxRestarts)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"Alpha", p.Alpha}, {"PEnd", p.PEnd}} {
-		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
-			return fmt.Errorf("core: %s must be in [0, 1], got %v", f.name, f.v)
-		}
+	// Negated so that NaN, which fails every comparison, is rejected too.
+	if !(p.Alpha >= 0 && p.Alpha <= 1) {
+		return fmt.Errorf("core: Alpha must be in [0, 1], got %v", p.Alpha)
+	}
+	if !(p.PEnd >= 0 && p.PEnd <= 1) {
+		return fmt.Errorf("core: PEnd must be in [0, 1], got %v", p.PEnd)
 	}
 	return nil
 }

@@ -79,7 +79,7 @@ type ISEState struct {
 
 // RestartPartial is the mid-restart checkpoint, captured at a convergence
 // iteration boundary (Iter > 0, trail and merit tables included) or at a
-// round boundary (Iter == 0, tables omitted — initTables rebuilds them
+// round boundary (Iter == 0, tables omitted — InitTables rebuilds them
 // deterministically). RNGDraws is the number of times the restart's random
 // source advanced; resume re-seeds and skips exactly that many draws, which
 // replays the random stream as if the run had never stopped.
@@ -239,7 +239,7 @@ func copyTables(t [][]float64) [][]float64 {
 }
 
 // restoreTables copies snapshot rows into freshly initialized tables,
-// validating the shape against what initTables derived from the DFG.
+// validating the shape against what InitTables derived from the DFG.
 func restoreTables(dst, src [][]float64) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("core: snapshot table has %d rows, DFG wants %d", len(src), len(dst))
