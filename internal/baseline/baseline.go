@@ -12,12 +12,14 @@
 // design flow as the proposed algorithm ("schedule the result of
 // single-issue with ISE on a 2-issue processor", Fig. 1.3.1 case 1).
 //
-// The explorer follows the pooled-arena pattern of internal/core
-// (DESIGN.md §13): every per-iteration structure is a grow-only buffer owned
-// by the explorer, so steady-state iterations allocate nothing
-// (TestBaselineSteadyStateAllocs), and explorers themselves are pooled in a
-// Scratch so arena warmup is paid once per worker per run, not once per
-// (worker, block).
+// The explorer embeds core.Colony, the trail/merit machinery the
+// multiple-issue explorer runs on too, and adds only what the single-issue
+// search does differently. It follows the pooled-arena pattern of
+// internal/core (DESIGN.md §13): every per-iteration structure is a
+// grow-only buffer owned by the explorer, so steady-state iterations
+// allocate nothing (TestBaselineSteadyStateAllocs), and explorers themselves
+// are pooled in a Scratch so arena warmup is paid once per worker per run,
+// not once per (worker, block).
 package baseline
 
 import (
